@@ -304,3 +304,47 @@ fn crash_rejoin_restores_from_checkpoint() {
         "crash round row: {csv}"
     );
 }
+
+/// On an empty fault plan the reliable star trains exactly what the
+/// plain star does — same losses, same `L1`, same bytes and per-kind
+/// message counts — but on a longer simulated clock: it finishes each
+/// platform's logits → grads exchange before starting the next one,
+/// where the plain star sends each protocol step to every platform at
+/// once. The makespan assertion keeps the two send orders from being
+/// merged without anyone noticing.
+#[test]
+fn empty_plan_equals_the_plain_star_but_runs_longer() {
+    use medsplit::core::SplitTrainer;
+
+    const ROUNDS: usize = 12;
+    let (shards, test) = data(4);
+    let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), FaultPlan::new(3));
+    let mut reliable =
+        ResilientTrainer::new(&arch(), config(ROUNDS), shards.clone(), test.clone(), &chaos).unwrap();
+    let r = reliable.run().unwrap();
+
+    let transport = MemoryTransport::new(StarTopology::new(4));
+    let mut plain = SplitTrainer::new(&arch(), config(ROUNDS), shards, test, &transport).unwrap();
+    let p = plain.run().unwrap();
+
+    for (a, b) in r.records.iter().zip(&p.records) {
+        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "round {}", a.round);
+    }
+    for (i, (a, b)) in reliable
+        .platforms_mut()
+        .iter_mut()
+        .zip(plain.platforms_mut().iter_mut())
+        .enumerate()
+    {
+        assert_eq!(a.l1_parameters(), b.l1_parameters(), "platform {i} L1 differs");
+    }
+    assert_eq!(r.final_accuracy.to_bits(), p.final_accuracy.to_bits());
+    assert_eq!(r.stats.total_bytes, p.stats.total_bytes);
+    assert_eq!(r.stats.msgs_by_kind, p.stats.msgs_by_kind);
+    assert!(
+        r.stats.makespan_s > p.stats.makespan_s,
+        "reliable star {} s should run longer than the plain star {} s",
+        r.stats.makespan_s,
+        p.stats.makespan_s
+    );
+}

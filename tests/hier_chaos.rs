@@ -161,3 +161,46 @@ fn lossy_hierarchy_retries_and_replays() {
     assert_eq!(h1.stats, h2.stats);
     assert_eq!(h1.final_accuracy.to_bits(), h2.final_accuracy.to_bits());
 }
+
+/// A fault-free relay tree trains exactly what the star does: the relay
+/// batches only move the same envelopes, and the server concatenates
+/// them in platform order either way. Per-round losses, every
+/// platform's `L1` parameters and the final accuracy match to the bit.
+#[test]
+fn fault_free_relay_tree_equals_the_star_bit_for_bit() {
+    use medsplit::core::SplitTrainer;
+    use medsplit::simnet::StarTopology;
+
+    let topo = HierTopology::new(2, 2);
+    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(1));
+    let (shards, test) = data(topo.platforms());
+    let mut hier = HierResilientTrainer::new(
+        &arch(),
+        config(),
+        HierPolicy::default(),
+        topo,
+        shards.clone(),
+        test.clone(),
+        &chaos,
+    )
+    .unwrap();
+    let tree = hier.run().unwrap();
+
+    let transport = MemoryTransport::new(StarTopology::new(4));
+    let mut star = SplitTrainer::new(&arch(), config(), shards, test, &transport).unwrap();
+    let flat = star.run().unwrap();
+
+    assert_eq!(tree.records.len(), flat.records.len());
+    for (a, b) in tree.records.iter().zip(&flat.records) {
+        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "round {}", a.round);
+    }
+    for (i, (a, b)) in hier
+        .platforms_mut()
+        .iter_mut()
+        .zip(star.platforms_mut().iter_mut())
+        .enumerate()
+    {
+        assert_eq!(a.l1_parameters(), b.l1_parameters(), "platform {i} L1 differs");
+    }
+    assert_eq!(tree.final_accuracy.to_bits(), flat.final_accuracy.to_bits());
+}

@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> perfbench tests (its own workspace)"
+# perfbench/ is a separate workspace, so the workspace test run above
+# never compiles it; building and testing it here makes a change that
+# breaks the API the benchmark uses fail CI.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,

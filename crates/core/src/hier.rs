@@ -2,13 +2,13 @@
 //! relays → central server, with relay failover and partition-tolerant
 //! degraded rounds.
 //!
-//! [`HierResilientTrainer`] layers the hierarchical topology on the
-//! same round machinery as [`crate::ResilientTrainer`] — whole-round
+//! [`RelayTree`] is the relay-routed counterpart of
+//! [`ReliableStar`](crate::ReliableStar): the same whole-round
 //! participation, retries with backoff and simulated-clock deadlines
 //! under the configured [`RoundPolicy`](crate::RoundPolicy), frozen
 //! survivor sets with renormalised minibatch weights, and
-//! checkpoint-boundary crash/rejoin — and adds the relay layer's
-//! failure semantics:
+//! checkpoint-boundary crash/rejoin — plus the relay layer's failure
+//! semantics:
 //!
 //! - **Routing.** Each round every live platform is routed over its
 //!   home relay; if the relay is crashed or unreachable (either hop of
@@ -30,25 +30,18 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
+use medsplit_nn::Architecture;
 use medsplit_simnet::{ChaosEvent, ChaosTransport, Envelope, HierTopology, MessageKind, NodeId, Transport};
 
-use crate::config::{HierPolicy, L1Sync, Scheduling, SplitConfig};
+use crate::config::{HierPolicy, SplitConfig};
+use crate::engine::{Driver, Exchange, RoundEngine, Route};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
+use crate::link::{reweight, ChaosLink, Drain};
 use crate::platform::Platform;
 use crate::relay;
-use crate::resilient::ResilienceReport;
+use crate::resilient::{addressee, ResilienceReport};
 use crate::server::SplitServer;
-use crate::trainer::build_actors;
-
-/// Same bounded reliable-delivery cap as the star-topology resilient
-/// driver: link state is round-granular, so a committed survivor's leg
-/// can only fail to random loss — exhausting 64 attempts is a protocol
-/// error, not a tolerated fault.
-const MAX_DELIVERY_ATTEMPTS: u32 = 64;
 
 /// Counters specific to the hierarchical failure machinery, alongside
 /// the embedded star-level [`ResilienceReport`].
@@ -80,31 +73,41 @@ pub struct HierReport {
 
 /// Which path a platform uses this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
+enum Path {
     /// Via relay `r` (home or backup).
     Relay(usize),
     /// Direct platform ↔ server fallback.
     Direct,
 }
 
-/// Hierarchical counterpart of [`crate::ResilientTrainer`], driving the
-/// same actors over a [`HierTopology`] chaos transport.
-pub struct HierResilientTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    hier: HierPolicy,
-    topo: HierTopology,
-    platforms: Vec<Platform>,
-    server: SplitServer,
-    chaos: &'t ChaosTransport<T>,
-    test: InMemoryDataset,
-    client_params: usize,
-    server_params: usize,
-    initial_snapshots: Vec<Bytes>,
-    checkpoints: BTreeMap<usize, Bytes>,
-    report: HierReport,
+impl Path {
+    /// The inbox a platform's upstream traffic lands in.
+    fn sink(self) -> NodeId {
+        match self {
+            Path::Relay(r) => NodeId::Relay(r),
+            Path::Direct => NodeId::Server,
+        }
+    }
 }
 
-impl<'t, T: Transport> HierResilientTrainer<'t, T> {
+/// The relay-tree route over a [`HierTopology`] chaos transport.
+///
+/// Send order: activations go out to all routed platforms at once and
+/// cross the backbone as one batch per relay; the logits come back one
+/// batch per relay and fan out platform by platform, direct routes
+/// last; every platform's regional grads hop completes before the
+/// relay batches go up; the cut gradients come down like the logits.
+pub struct RelayTree<'t, T> {
+    link: ChaosLink<'t, T>,
+    hier: HierPolicy,
+    topo: HierTopology,
+}
+
+/// Hierarchical counterpart of [`crate::ResilientTrainer`]: the
+/// [`RoundEngine`] over a [`RelayTree`].
+pub type HierResilientTrainer<'t, T> = RoundEngine<RelayTree<'t, T>>;
+
+impl<'t, T: Transport> RoundEngine<RelayTree<'t, T>> {
     /// Builds the trainer over a chaos transport routing a
     /// [`HierTopology`]. `shards` must hold exactly one dataset per
     /// platform of the topology, in platform-id order.
@@ -123,7 +126,6 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
         test: InMemoryDataset,
         chaos: &'t ChaosTransport<T>,
     ) -> Result<Self> {
-        config.validate().map_err(SplitError::Config)?;
         hier.validate(topo.per_region()).map_err(SplitError::Config)?;
         if topo.regions() == 0 || topo.per_region() == 0 {
             return Err(SplitError::Config(
@@ -137,327 +139,166 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
                 topo.platforms()
             )));
         }
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "hierarchical mode implements Aggregate scheduling".into(),
-            ));
-        }
-        if config.l1_sync != L1Sync::CommonInit {
-            return Err(SplitError::Config(
-                "hierarchical mode implements CommonInit L1 sync".into(),
-            ));
-        }
-        if chaos.stats().snapshot().messages > 0 {
-            return Err(SplitError::Config(
-                "transport has already been used; accounting would be polluted".into(),
-            ));
-        }
-        let (mut platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
-        if config.round_policy.min_platforms > platforms.len() {
-            return Err(SplitError::Config(format!(
-                "quorum of {} exceeds the {} configured platforms",
-                config.round_policy.min_platforms,
-                platforms.len()
-            )));
-        }
-        let initial_snapshots = platforms.iter_mut().map(Platform::checkpoint).collect();
-        let report = HierReport {
-            region_bytes: vec![0; topo.regions()],
-            ..HierReport::default()
-        };
-        Ok(HierResilientTrainer {
-            config,
+        let route = RelayTree {
+            link: ChaosLink::new(chaos, "hier", topo.regions()),
             hier,
             topo,
-            platforms,
-            server,
-            chaos,
-            test,
-            client_params,
-            server_params,
-            initial_snapshots,
-            checkpoints: BTreeMap::new(),
-            report,
-        })
+        };
+        Self::assemble(arch, config, shards, test, route, Driver::RelayTree, None)
     }
 
     /// The hierarchical fault-handling counters accumulated so far.
     pub fn report(&self) -> &HierReport {
-        &self.report
+        &self.route.link.report
+    }
+}
+
+impl<T: Transport> Route for RelayTree<'_, T> {
+    fn transport(&self) -> &dyn Transport {
+        self.link.chaos
     }
 
-    /// The platform actors (for inspection).
-    pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.platforms
+    fn begin_round(&mut self, round: u64) -> Vec<ChaosEvent> {
+        self.link.begin_round(round)
     }
 
-    /// Mean test accuracy over the currently live platforms' deployed
-    /// models, exactly as the star driver computes it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        let mut counted = 0usize;
-        for platform in &mut self.platforms {
-            if self.chaos.is_down(platform.node()) {
-                continue;
-            }
-            let mut correct_weighted = 0.0;
-            let mut seen = 0usize;
-            let n = self.test.len();
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (features, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_l1(&features)?;
-                let logits = self.server.infer(&acts)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                seen += count;
-                start += count;
-            }
-            total += correct_weighted / seen.max(1) as f32;
-            counted += 1;
+    fn is_down(&self, node: NodeId) -> bool {
+        self.link.chaos.is_down(node)
+    }
+
+    fn exchange(
+        &mut self,
+        round: u64,
+        config: &SplitConfig,
+        platforms: &mut [Platform],
+        server: &mut SplitServer,
+    ) -> Result<Exchange> {
+        let policy = &config.round_policy;
+        let paths = self.assign_paths(platforms.len());
+        let mut pending = BTreeMap::new();
+        for (&pid, &path) in &paths {
+            let mut env = platforms[pid].start_round(round)?;
+            env.dst = path.sink();
+            pending.insert(pid, env);
         }
-        Ok(total / counted.max(1) as f32)
-    }
-
-    fn count(name: &str, n: u64) {
-        if n > 0 && medsplit_telemetry::enabled() {
-            medsplit_telemetry::counter_add(name, n);
+        let mut sinks: Vec<NodeId> = (0..self.topo.regions()).map(NodeId::Relay).collect();
+        sinks.push(NodeId::Server);
+        let topo = &self.topo;
+        let mut acts = self.link.collect(
+            round,
+            policy,
+            pending,
+            &sinks,
+            |pid| paths.get(&pid).map(|p| p.sink()),
+            |pid| topo.home_relay(pid),
+        )?;
+        self.apply_region_quorum(&mut acts);
+        let survivors: Vec<usize> = acts.keys().copied().collect();
+        if !self.link.quorum_met(survivors.len(), platforms.len(), policy) {
+            return Ok(Exchange::dropped(survivors));
         }
+        reweight(platforms, &survivors);
+
+        // Steps 2–5 over reliable, path-respecting legs.
+        let act_envs = self.upstream(round, &paths, acts)?;
+        let logits_out = server.aggregate_forward(&act_envs)?;
+        let mut losses = Vec::with_capacity(survivors.len());
+        let mut held = BTreeMap::new();
+        for (pid, env) in self.downstream(round, &paths, logits_out, MessageKind::Logits)? {
+            let (mut grads, loss) = platforms[pid].handle_logits(&env)?;
+            losses.push(loss);
+            // The grads' regional hop (or direct leg), reliable.
+            grads.dst = paths[&pid].sink();
+            let from = grads.src;
+            let accept =
+                |e: &Envelope| e.kind == MessageKind::LogitGrads && e.round == round && e.src == from;
+            let region = self.topo.home_relay(pid);
+            held.insert(
+                pid,
+                self.link.deliver(grads, region, Drain::UntilAccepted, accept)?,
+            );
+        }
+        let grad_envs = self.upstream(round, &paths, held)?;
+        let cuts_out = server.aggregate_backward(&grad_envs)?;
+        for (pid, env) in self.downstream(round, &paths, cuts_out, MessageKind::CutGrads)? {
+            platforms[pid].handle_cut_grads(&env)?;
+        }
+        Ok(Exchange::applied(&losses, survivors))
     }
 
-    /// Sends one envelope, attributing its wire bytes to `region`.
-    fn send_counted(&mut self, env: Envelope, region: usize) -> Result<()> {
-        self.report.region_bytes[region] += env.wire_size() as u64;
-        self.chaos.send(env)?;
-        Ok(())
-    }
-
-    /// Applies this round's scheduled chaos events. Platform semantics
-    /// match the star driver (crash = pristine reset, recover =
-    /// checkpoint restore); relays are stateless, so their events only
-    /// flip routing viability and are counted here.
-    fn apply_events(&mut self, events: &[ChaosEvent]) -> Result<()> {
-        for event in events {
-            match *event {
-                ChaosEvent::Crash {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.base.crashes += 1;
-                    Self::count("hier.crashes", 1);
-                    if let Some(p) = self.platforms.get_mut(pid) {
-                        p.restore(&self.initial_snapshots[pid])?;
-                    }
+    /// Publishes the per-region byte attribution as deterministic
+    /// counters.
+    fn finish(&mut self) {
+        if medsplit_telemetry::enabled() {
+            for (g, &bytes) in self.link.report.region_bytes.iter().enumerate() {
+                if bytes > 0 {
+                    medsplit_telemetry::counter_add(&format!("net.bytes.region{g}"), bytes);
                 }
-                ChaosEvent::Recover {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.base.rejoins += 1;
-                    Self::count("hier.rejoins", 1);
-                    if let (Some(p), Some(blob)) = (self.platforms.get_mut(pid), self.checkpoints.get(&pid)) {
-                        p.restore(blob)?;
-                    }
-                }
-                ChaosEvent::Crash {
-                    node: NodeId::Relay(_),
-                    ..
-                } => {
-                    self.report.relay_crashes += 1;
-                    Self::count("hier.relay_crashes", 1);
-                }
-                ChaosEvent::Recover {
-                    node: NodeId::Relay(_),
-                    ..
-                } => {
-                    self.report.relay_rejoins += 1;
-                    Self::count("hier.relay_rejoins", 1);
-                }
-                _ => {}
             }
         }
-        Ok(())
     }
+}
 
+impl<T: Transport> RelayTree<'_, T> {
     /// Whether routing platform `pid` through relay `r` is viable this
     /// round: the relay is up and both hops of both legs have live
     /// links. Chaos events are round-granular, so checking at the round
     /// boundary is exactly the failure detector a real heartbeat would
     /// implement.
     fn relay_viable(&self, pid: usize, r: usize) -> bool {
+        let chaos = self.link.chaos;
         let (p, relay) = (NodeId::Platform(pid), NodeId::Relay(r));
-        !self.chaos.is_down(relay)
-            && !self.chaos.link_down(p, relay)
-            && !self.chaos.link_down(relay, p)
-            && !self.chaos.link_down(relay, NodeId::Server)
-            && !self.chaos.link_down(NodeId::Server, relay)
+        !chaos.is_down(relay)
+            && !chaos.link_down(p, relay)
+            && !chaos.link_down(relay, p)
+            && !chaos.link_down(relay, NodeId::Server)
+            && !chaos.link_down(NodeId::Server, relay)
     }
 
-    /// Picks this round's route for a live platform: home relay, then
+    /// Picks this round's path for a live platform: home relay, then
     /// backup relays in cyclic order, then the direct server link.
-    fn route_for(&self, pid: usize) -> Option<Route> {
+    fn path_for(&self, pid: usize) -> Option<Path> {
         let home = self.topo.home_relay(pid);
         let regions = self.topo.regions();
-        for k in 0..regions {
-            let r = (home + k) % regions;
-            if self.relay_viable(pid, r) {
-                return Some(Route::Relay(r));
-            }
+        if let Some(r) = (0..regions)
+            .map(|k| (home + k) % regions)
+            .find(|&r| self.relay_viable(pid, r))
+        {
+            return Some(Path::Relay(r));
         }
-        let p = NodeId::Platform(pid);
-        if !self.chaos.link_down(p, NodeId::Server) && !self.chaos.link_down(NodeId::Server, p) {
-            return Some(Route::Direct);
-        }
-        None
+        let (p, chaos) = (NodeId::Platform(pid), self.link.chaos);
+        (!chaos.link_down(p, NodeId::Server) && !chaos.link_down(NodeId::Server, p)).then_some(Path::Direct)
     }
 
-    /// Assigns routes to every live platform, charging failover
+    /// Assigns paths to every live platform, charging failover
     /// penalties and counting rehomes/fallbacks/orphans.
-    fn assign_routes(&mut self, round: u64) -> BTreeMap<usize, Route> {
-        let _ = round;
-        let mut routes = BTreeMap::new();
-        for pid in 0..self.platforms.len() {
-            if self.chaos.is_down(NodeId::Platform(pid)) {
+    fn assign_paths(&mut self, platforms: usize) -> BTreeMap<usize, Path> {
+        let mut paths = BTreeMap::new();
+        for pid in 0..platforms {
+            if self.link.chaos.is_down(NodeId::Platform(pid)) {
                 continue;
             }
-            let home = self.topo.home_relay(pid);
-            match self.route_for(pid) {
-                Some(route) => {
-                    if route != Route::Relay(home) {
-                        // Failure detection + reconnection cost, charged
-                        // against the round deadline.
-                        self.chaos
-                            .stats()
-                            .advance_clock(NodeId::Platform(pid), self.hier.failover_penalty_s);
-                        match route {
-                            Route::Relay(_) => {
-                                self.report.rehomes += 1;
-                                Self::count("hier.rehomes", 1);
-                            }
-                            Route::Direct => {
-                                self.report.direct_fallbacks += 1;
-                                Self::count("hier.direct_fallbacks", 1);
-                            }
-                        }
-                    }
-                    routes.insert(pid, route);
-                }
-                None => {
-                    self.report.orphaned_platform_rounds += 1;
-                    Self::count("hier.orphaned_platform_rounds", 1);
+            let Some(path) = self.path_for(pid) else {
+                self.link.report.orphaned_platform_rounds += 1;
+                self.link.count("orphaned_platform_rounds", 1);
+                continue;
+            };
+            if path != Path::Relay(self.topo.home_relay(pid)) {
+                // Failure detection + reconnection cost, charged against
+                // the round deadline.
+                let stats = self.link.chaos.stats();
+                stats.advance_clock(NodeId::Platform(pid), self.hier.failover_penalty_s);
+                if path == Path::Direct {
+                    self.link.report.direct_fallbacks += 1;
+                    self.link.count("direct_fallbacks", 1);
+                } else {
+                    self.link.report.rehomes += 1;
+                    self.link.count("rehomes", 1);
                 }
             }
+            paths.insert(pid, path);
         }
-        routes
-    }
-
-    /// The inbox a platform's upstream traffic lands in under `route`.
-    fn sink_of(route: Route) -> NodeId {
-        match route {
-            Route::Relay(r) => NodeId::Relay(r),
-            Route::Direct => NodeId::Server,
-        }
-    }
-
-    /// Drains every collection sink (each relay, then the server),
-    /// keeping the first checksum-valid envelope of `kind` per platform
-    /// that arrived where its route says it should.
-    fn drain_sinks(
-        &mut self,
-        round: u64,
-        kind: MessageKind,
-        routes: &BTreeMap<usize, Route>,
-        received: &mut BTreeMap<usize, Envelope>,
-    ) {
-        let mut sinks: Vec<NodeId> = (0..self.topo.regions()).map(NodeId::Relay).collect();
-        sinks.push(NodeId::Server);
-        for sink in sinks {
-            while let Some(env) = self.chaos.try_recv(sink) {
-                if !env.verify_checksum() {
-                    self.report.base.checksum_rejections += 1;
-                    Self::count("hier.checksum_rejections", 1);
-                    continue;
-                }
-                let Some(pid) = env.src.platform_index() else {
-                    self.report.base.stray_messages += 1;
-                    continue;
-                };
-                let expected = routes.get(&pid).map(|&r| Self::sink_of(r));
-                if env.kind != kind
-                    || env.round != round
-                    || expected != Some(sink)
-                    || received.contains_key(&pid)
-                {
-                    self.report.base.stray_messages += 1;
-                    continue;
-                }
-                received.insert(pid, env);
-            }
-        }
-    }
-
-    /// Collects activations from the routed platforms with retries,
-    /// backoff + jitter and per-platform deadlines, exactly like the
-    /// star driver but with per-route sinks.
-    fn collect_activations(
-        &mut self,
-        round: u64,
-        routes: &BTreeMap<usize, Route>,
-        start_clocks: &BTreeMap<usize, f64>,
-    ) -> Result<BTreeMap<usize, Envelope>> {
-        let policy = self.config.round_policy;
-        let mut pending: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for (&pid, &route) in routes {
-            let mut env = self.platforms[pid].start_round(round)?;
-            if let Route::Relay(r) = route {
-                env.dst = NodeId::Relay(r);
-            }
-            pending.insert(pid, env.clone());
-            self.send_counted(env, self.topo.home_relay(pid))?;
-        }
-        self.chaos.flush();
-
-        let mut received: BTreeMap<usize, Envelope> = BTreeMap::new();
-        let mut expired: Vec<usize> = Vec::new();
-        for attempt in 0..=policy.max_retries {
-            self.drain_sinks(round, MessageKind::Activations, routes, &mut received);
-            pending.retain(|pid, _| !received.contains_key(pid));
-            for &pid in routes.keys() {
-                if !expired.contains(&pid)
-                    && self.chaos.stats().clock(NodeId::Platform(pid))
-                        > start_clocks[&pid] + policy.deadline_s
-                {
-                    expired.push(pid);
-                }
-            }
-            for pid in &expired {
-                pending.remove(pid);
-                received.remove(pid);
-            }
-            if pending.is_empty() || attempt == policy.max_retries {
-                break;
-            }
-            let resend: Vec<(usize, Envelope)> = pending.iter().map(|(p, e)| (*p, e.clone())).collect();
-            for (pid, env) in resend {
-                let delay = policy.backoff.delay_s(attempt) * self.chaos.backoff_jitter();
-                self.chaos.stats().advance_clock(NodeId::Platform(pid), delay);
-                self.report.base.retries += 1;
-                Self::count("hier.retries", 1);
-                self.send_counted(env, self.topo.home_relay(pid))?;
-            }
-            self.chaos.flush();
-        }
-        self.drain_sinks(round, MessageKind::Activations, routes, &mut received);
-        for pid in &expired {
-            received.remove(pid);
-        }
-        Ok(received)
+        paths
     }
 
     /// Enforces the per-region quorum on the collected survivors: a
@@ -471,8 +312,8 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
                 .filter(|&pid| self.topo.home_relay(pid) == g)
                 .collect();
             if !members.is_empty() && members.len() < self.hier.region_quorum {
-                self.report.region_quorum_drops += 1;
-                Self::count("hier.region_quorum_drops", 1);
+                self.link.report.region_quorum_drops += 1;
+                self.link.count("region_quorum_drops", 1);
                 for pid in members {
                     acts.remove(&pid);
                 }
@@ -480,72 +321,34 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
         }
     }
 
-    /// Reliable delivery of one envelope to `sink`: resend until a
-    /// checksum-valid envelope satisfying `accept` is drained there.
-    /// Only used for committed survivors, whose links are known-up for
-    /// the rest of the round.
-    fn deliver(
-        &mut self,
-        env: Envelope,
-        region: usize,
-        accept: impl Fn(&Envelope) -> bool,
-        what: &str,
-    ) -> Result<Envelope> {
-        let sink = env.dst;
-        for _ in 0..MAX_DELIVERY_ATTEMPTS {
-            self.send_counted(env.clone(), region)?;
-            self.chaos.flush();
-            while let Some(got) = self.chaos.try_recv(sink) {
-                if !got.verify_checksum() {
-                    self.report.base.checksum_rejections += 1;
-                    Self::count("hier.checksum_rejections", 1);
-                    continue;
-                }
-                if accept(&got) {
-                    return Ok(got);
-                }
-                self.report.base.stray_messages += 1;
-            }
-            self.report.base.retries += 1;
-            Self::count("hier.retries", 1);
-        }
-        Err(SplitError::Protocol(format!(
-            "reliable delivery of {what} to {sink} exhausted {MAX_DELIVERY_ATTEMPTS} attempts"
-        )))
-    }
-
     /// Reliable backbone delivery of one relay batch, in either
     /// direction. Returns the inner envelopes unbatched at the far end.
     fn deliver_batch(&mut self, batch: Envelope, relay: usize) -> Result<Vec<Envelope>> {
-        let round = batch.round;
-        let src = batch.src;
-        let got = self.deliver(
-            batch,
-            relay,
-            |e| e.kind == MessageKind::RelayBatch && e.round == round && e.src == src,
-            "relay batch",
-        )?;
-        self.report.relay_batches += 1;
-        Self::count("hier.relay_batches", 1);
+        let (round, src) = (batch.round, batch.src);
+        let got = self.link.deliver(batch, relay, Drain::UntilAccepted, |e| {
+            e.kind == MessageKind::RelayBatch && e.round == round && e.src == src
+        })?;
+        self.link.report.relay_batches += 1;
+        self.link.count("relay_batches", 1);
         relay::unbatch(&got)
     }
 
-    /// Moves the surviving upstream envelopes to the server: relay
-    /// routes are batched region-wise across the backbone, direct
-    /// routes are already in hand. Returns the server-side envelopes in
-    /// ascending platform order.
-    fn upstream_to_server(
+    /// Moves platform → server envelopes already held at their path's
+    /// sink on to the server: relay paths are batched region-wise across
+    /// the backbone, direct paths are already in hand. Returns the
+    /// server-side envelopes in ascending platform order.
+    fn upstream(
         &mut self,
         round: u64,
-        routes: &BTreeMap<usize, Route>,
+        paths: &BTreeMap<usize, Path>,
         held: BTreeMap<usize, Envelope>,
     ) -> Result<Vec<Envelope>> {
         let mut by_relay: BTreeMap<usize, Vec<Envelope>> = BTreeMap::new();
         let mut out: Vec<Envelope> = Vec::with_capacity(held.len());
         for (pid, env) in held {
-            match routes[&pid] {
-                Route::Relay(r) => by_relay.entry(r).or_default().push(env),
-                Route::Direct => out.push(env),
+            match paths[&pid] {
+                Path::Relay(r) => by_relay.entry(r).or_default().push(env),
+                Path::Direct => out.push(env),
             }
         }
         for (r, inner) in by_relay {
@@ -557,475 +360,48 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
     }
 
     /// Distributes server → platform envelopes along each platform's
-    /// route: relay routes cross the backbone as one batch per relay,
+    /// path: relay paths cross the backbone as one batch per relay,
     /// then fan out over the regional links with the relay as source;
-    /// direct routes go straight down. Returns `(pid, envelope)` as
+    /// direct paths go straight down. Returns `(pid, envelope)` as
     /// received by each platform, in ascending platform order.
-    fn downstream_to_platforms(
+    fn downstream(
         &mut self,
         round: u64,
-        routes: &BTreeMap<usize, Route>,
+        paths: &BTreeMap<usize, Path>,
         envs: Vec<Envelope>,
         kind: MessageKind,
     ) -> Result<Vec<(usize, Envelope)>> {
         let mut by_relay: BTreeMap<usize, Vec<Envelope>> = BTreeMap::new();
-        let mut direct: Vec<(usize, Envelope)> = Vec::new();
+        let mut direct: Vec<Envelope> = Vec::new();
         for env in envs {
-            let pid = env
-                .dst
-                .platform_index()
-                .ok_or_else(|| SplitError::Protocol(format!("{kind} addressed to {}", env.dst)))?;
-            match routes[&pid] {
-                Route::Relay(r) => by_relay.entry(r).or_default().push(env),
-                Route::Direct => direct.push((pid, env)),
+            match paths[&addressee(&env)?] {
+                Path::Relay(r) => by_relay.entry(r).or_default().push(env),
+                Path::Direct => direct.push(env),
             }
         }
-        let mut out: Vec<(usize, Envelope)> = Vec::new();
+        let mut out = Vec::new();
         for (r, inner) in by_relay {
             let batch = relay::batch_downstream(r, round, &inner);
             for unbatched in self.deliver_batch(batch, r)? {
-                let pid = unbatched
-                    .dst
-                    .platform_index()
-                    .ok_or_else(|| SplitError::Protocol(format!("{kind} addressed to {}", unbatched.dst)))?;
-                let fwd = relay::forward_from_relay(r, &unbatched);
-                let region = self.topo.home_relay(pid);
-                let got = self.deliver(fwd, region, |e| e.kind == kind && e.round == round, kind.as_str())?;
-                out.push((pid, got));
+                out.push(self.last_hop(relay::forward_from_relay(r, &unbatched), kind)?);
             }
         }
-        for (pid, env) in direct {
-            let region = self.topo.home_relay(pid);
-            let got = self.deliver(env, region, |e| e.kind == kind && e.round == round, kind.as_str())?;
-            out.push((pid, got));
+        for env in direct {
+            out.push(self.last_hop(env, kind)?);
         }
         out.sort_by_key(|(pid, _)| *pid);
         Ok(out)
     }
 
-    /// Moves committed survivors' upstream gradients to the server over
-    /// their routes (reliable on every hop), returning the server-side
-    /// envelopes.
-    fn upstream_grads(
-        &mut self,
-        round: u64,
-        routes: &BTreeMap<usize, Route>,
-        grads: Vec<(usize, Envelope)>,
-    ) -> Result<Vec<Envelope>> {
-        let mut held: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for (pid, mut env) in grads {
-            match routes[&pid] {
-                Route::Relay(r) => {
-                    env.dst = NodeId::Relay(r);
-                    let region = self.topo.home_relay(pid);
-                    let got = self.deliver(
-                        env,
-                        region,
-                        |e| {
-                            e.kind == MessageKind::LogitGrads
-                                && e.round == round
-                                && e.src.platform_index() == Some(pid)
-                        },
-                        "logit grads (regional hop)",
-                    )?;
-                    held.insert(pid, got);
-                }
-                Route::Direct => {
-                    let region = self.topo.home_relay(pid);
-                    let got = self.deliver(
-                        env,
-                        region,
-                        |e| {
-                            e.kind == MessageKind::LogitGrads
-                                && e.round == round
-                                && e.src.platform_index() == Some(pid)
-                        },
-                        "logit grads (direct)",
-                    )?;
-                    held.insert(pid, got);
-                }
-            }
-        }
-        self.upstream_to_server(round, routes, held)
-    }
-
-    /// One hierarchical quorum round. Returns `(mean_loss,
-    /// participants)`; a quorum failure yields `(0.0, survivors)` with
-    /// no update applied.
-    fn run_round(&mut self, round: u64) -> Result<(f32, usize)> {
-        let policy = self.config.round_policy;
-        let routes = self.assign_routes(round);
-        let start_clocks: BTreeMap<usize, f64> = routes
-            .keys()
-            .map(|&pid| (pid, self.chaos.stats().clock(NodeId::Platform(pid))))
-            .collect();
-
-        let mut acts = self.collect_activations(round, &routes, &start_clocks)?;
-        let skipped = routes.len() - acts.len();
-        self.report.base.skipped_platform_rounds += skipped as u64;
-        Self::count("hier.skipped_platforms", skipped as u64);
-
-        self.apply_region_quorum(&mut acts);
-
-        if acts.len() < policy.min_platforms {
-            self.report.base.quorum_failures += 1;
-            Self::count("hier.quorum_failures", 1);
-            return Ok((0.0, acts.len()));
-        }
-
-        // Freeze the survivor set and renormalise minibatch weights so
-        // the aggregate update is the gradient of the mean loss over the
-        // union batch that actually arrived.
-        let survivor_batch: usize = acts.keys().map(|&pid| self.platforms[pid].batch_size()).sum();
-        for &pid in acts.keys() {
-            let share = self.platforms[pid].batch_size() as f32 / survivor_batch.max(1) as f32;
-            self.platforms[pid].set_grad_scale(share);
-        }
-        let survivors: Vec<usize> = acts.keys().copied().collect();
-
-        // Steps 2–5 over reliable, route-respecting legs.
-        let act_envs = self.upstream_to_server(round, &routes, acts)?;
-        let logits_out = self.server.aggregate_forward(&act_envs)?;
-        let delivered = self.downstream_to_platforms(round, &routes, logits_out, MessageKind::Logits)?;
-
-        let mut losses = Vec::with_capacity(survivors.len());
-        let mut grads: Vec<(usize, Envelope)> = Vec::with_capacity(survivors.len());
-        for (pid, env) in delivered {
-            let (grad_env, loss) = self.platforms[pid].handle_logits(&env)?;
-            losses.push(loss);
-            grads.push((pid, grad_env));
-        }
-
-        let grad_envs = self.upstream_grads(round, &routes, grads)?;
-        let cuts_out = self.server.aggregate_backward(&grad_envs)?;
-        let delivered = self.downstream_to_platforms(round, &routes, cuts_out, MessageKind::CutGrads)?;
-        for (pid, env) in delivered {
-            self.platforms[pid].handle_cut_grads(&env)?;
-        }
-
-        // Commit survivors' post-update state as their rejoin point.
-        for &pid in &survivors {
-            let blob = self.platforms[pid].checkpoint();
-            self.checkpoints.insert(pid, blob);
-        }
-
-        // Charge this round's local compute to the simulated clocks.
-        let compute = self.config.compute;
-        let stats = self.chaos.stats();
-        for &pid in &survivors {
-            let s = compute.seconds(
-                compute.platform_s_per_msample,
-                self.platforms[pid].batch_size(),
-                self.client_params,
-            );
-            stats.advance_clock(NodeId::Platform(pid), s);
-        }
-        let s = compute.seconds(compute.server_s_per_msample, survivor_batch, self.server_params);
-        stats.advance_clock(NodeId::Server, s);
-
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        Ok((mean_loss, survivors.len()))
-    }
-
-    /// Runs the configured number of rounds under the fault plan and
-    /// returns the history (method `"split_hier_resilient"`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor and protocol errors; tolerated faults (loss,
-    /// corruption, crashes, partitions within quorum) do not error.
-    pub fn run(&mut self) -> Result<TrainingHistory> {
-        let k = self.platforms.len();
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let round_start = std::time::Instant::now();
-            let events = self.chaos.begin_round(round as u64);
-            self.apply_events(&events)?;
-
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            let (mean_loss, participants) = self.run_round(round as u64)?;
-            let degraded = participants < k;
-            if degraded {
-                self.report.base.degraded_rounds += 1;
-                Self::count("hier.degraded_rounds", 1);
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.chaos.stats().snapshot();
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants,
-                degraded,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
-        // Per-region byte attribution as deterministic counters.
-        if medsplit_telemetry::enabled() {
-            for (g, &bytes) in self.report.region_bytes.iter().enumerate() {
-                if bytes > 0 {
-                    medsplit_telemetry::counter_add(&format!("net.bytes.region{g}"), bytes);
-                }
-            }
-        }
-        Ok(TrainingHistory {
-            method: "split_hier_resilient".into(),
-            records,
-            final_accuracy,
-            stats: self.chaos.stats().snapshot(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{FaultPlan, MemoryTransport};
-
-    fn arch() -> Architecture {
-        Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![16],
-            num_classes: 3,
-        })
-    }
-
-    fn setup(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-        let gen = SyntheticTabular::new(3, 8, 0);
-        let train = gen.generate(160).unwrap();
-        let test = SyntheticTabular::new(3, 8, 1).generate(40).unwrap();
-        let shards = partition(&train, platforms, &Partition::Iid, 1).unwrap();
-        (shards, test)
-    }
-
-    fn config(rounds: usize) -> SplitConfig {
-        SplitConfig {
-            rounds,
-            eval_every: rounds,
-            lr: LrSchedule::Constant(0.1),
-            minibatch: MinibatchPolicy::Fixed(10),
-            ..SplitConfig::default()
-        }
-    }
-
-    fn run_hier(
-        plan: FaultPlan,
-        rounds: usize,
-        regions: usize,
-        per_region: usize,
-    ) -> (TrainingHistory, HierReport) {
-        let topo = HierTopology::new(regions, per_region);
-        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
-        let (shards, test) = setup(regions * per_region);
-        let mut trainer = HierResilientTrainer::new(
-            &arch(),
-            config(rounds),
-            HierPolicy::default(),
-            topo,
-            shards,
-            test,
-            &chaos,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
-        let report = trainer.report().clone();
-        (history, report)
-    }
-
-    #[test]
-    fn healthy_hier_run_learns_and_batches() {
-        let (history, report) = run_hier(FaultPlan::new(1), 30, 2, 2);
-        assert_eq!(history.method, "split_hier_resilient");
-        assert_eq!(history.records.len(), 30);
-        assert_eq!(history.degraded_rounds(), 0);
-        assert!(history.records.iter().all(|r| r.participants == 4));
-        // 2 relays × 4 protocol legs × 30 rounds, all batched.
-        assert_eq!(report.relay_batches, 2 * 4 * 30);
-        assert_eq!(report.rehomes, 0);
-        assert_eq!(report.direct_fallbacks, 0);
-        assert_eq!(report.base.retries, 0);
-        assert!(report.region_bytes.iter().all(|&b| b > 0));
-        assert!(
-            history.final_accuracy > 0.6,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn relay_crash_rehomes_platforms_without_degrading() {
-        // Relay 0 is down rounds [3, 6): its platforms re-home to relay
-        // 1 and keep participating — no degraded rounds at all.
-        let plan = FaultPlan::new(5).crash_relay(0, 3).recover_relay(0, 6);
-        let (history, report) = run_hier(plan, 10, 2, 2);
-        assert_eq!(report.relay_crashes, 1);
-        assert_eq!(report.relay_rejoins, 1);
-        // 2 platforms × 3 rounds re-homed.
-        assert_eq!(report.rehomes, 6);
-        assert_eq!(report.orphaned_platform_rounds, 0);
-        assert_eq!(history.degraded_rounds(), 0);
-        assert!(history.records.iter().all(|r| r.participants == 4));
-    }
-
-    #[test]
-    fn single_region_relay_crash_falls_back_direct() {
-        // One region, its only relay down: platforms use the direct
-        // server link, never orphaned.
-        let plan = FaultPlan::new(6).crash_relay(0, 2).recover_relay(0, 4);
-        let (history, report) = run_hier(plan, 6, 1, 3);
-        assert_eq!(report.direct_fallbacks, 6, "3 platforms × 2 rounds");
-        assert_eq!(report.rehomes, 0);
-        assert_eq!(history.degraded_rounds(), 0);
-    }
-
-    #[test]
-    fn partitioned_region_degrades_the_round_only() {
-        let topo = HierTopology::new(2, 2);
-        let plan = FaultPlan::new(7).partition_region(&topo, 1, 2, 5);
-        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
-        let (shards, test) = setup(4);
-        let mut trainer = HierResilientTrainer::new(
-            &arch(),
-            config(8),
-            HierPolicy::default(),
-            topo,
-            shards,
-            test,
-            &chaos,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
-        // Region 1 (platforms 2, 3) is unreachable rounds 2..5: no
-        // viable relay, no direct path — orphaned, round degrades.
-        assert_eq!(trainer.report().orphaned_platform_rounds, 6);
-        assert_eq!(history.degraded_rounds(), 3);
-        for r in &history.records {
-            let expected = if (2..5).contains(&r.round) { 2 } else { 4 };
-            assert_eq!(r.participants, expected, "round {}", r.round);
-        }
-    }
-
-    #[test]
-    fn region_quorum_drops_partial_regions_whole() {
-        // Platform 3 crashes; with region_quorum = 2 its region-mate
-        // platform 2 is dropped too, so the whole region sits out.
-        let plan = FaultPlan::new(8)
-            .crash(NodeId::Platform(3), 2)
-            .recover(NodeId::Platform(3), 4);
-        let topo = HierTopology::new(2, 2);
-        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
-        let (shards, test) = setup(4);
-        let hier = HierPolicy {
-            region_quorum: 2,
-            ..HierPolicy::default()
-        };
-        let mut trainer =
-            HierResilientTrainer::new(&arch(), config(6), hier, topo, shards, test, &chaos).unwrap();
-        let history = trainer.run().unwrap();
-        assert_eq!(trainer.report().region_quorum_drops, 2, "rounds 2 and 3");
-        for r in &history.records {
-            let expected = if (2..4).contains(&r.round) { 2 } else { 4 };
-            assert_eq!(r.participants, expected, "round {}", r.round);
-        }
-        assert!(
-            history.final_accuracy > 0.5,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn loss_and_corruption_are_absorbed() {
-        let (history, report) = run_hier(FaultPlan::new(9).with_drop(0.08).with_corrupt(0.04), 20, 2, 2);
-        assert!(report.base.retries > 0);
-        assert!(report.base.checksum_rejections > 0);
-        assert!(
-            history.final_accuracy > 0.5,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn hier_replays_bit_identically() {
-        let topo = HierTopology::new(2, 2);
-        let plan = FaultPlan::new(42)
-            .with_drop(0.08)
-            .with_dup(0.05)
-            .crash_relay(1, 3)
-            .recover_relay(1, 6)
-            .partition_region(&topo, 0, 8, 10);
-        let (h1, r1) = run_hier(plan.clone(), 12, 2, 2);
-        let (h2, r2) = run_hier(plan, 12, 2, 2);
-        assert_eq!(r1, r2);
-        let key = |h: &TrainingHistory| -> Vec<_> {
-            h.records
-                .iter()
-                .map(|r| {
-                    (
-                        r.round,
-                        r.mean_loss.to_bits(),
-                        r.cumulative_bytes,
-                        r.simulated_time_s.to_bits(),
-                        r.participants,
-                        r.degraded,
-                        r.accuracy.map(f32::to_bits),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(key(&h1), key(&h2), "same seed ⇒ bit-identical history");
-        assert_eq!(h1.stats, h2.stats);
-        assert_eq!(h1.final_accuracy.to_bits(), h2.final_accuracy.to_bits());
-    }
-
-    #[test]
-    fn shape_mismatches_rejected() {
-        let topo = HierTopology::new(2, 2);
-        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(0));
-        let (shards, test) = setup(3); // wrong: topology has 4 platforms
-        assert!(matches!(
-            HierResilientTrainer::new(
-                &arch(),
-                config(2),
-                HierPolicy::default(),
-                topo.clone(),
-                shards,
-                test.clone(),
-                &chaos
-            ),
-            Err(SplitError::Config(_))
-        ));
-        let (shards, test) = setup(4);
-        let bad = HierPolicy {
-            region_quorum: 3,
-            ..HierPolicy::default()
-        };
-        assert!(matches!(
-            HierResilientTrainer::new(&arch(), config(2), bad, topo, shards, test, &chaos),
-            Err(SplitError::Config(_))
-        ));
+    /// Reliable delivery of a downstream envelope over its platform's
+    /// regional or direct link.
+    fn last_hop(&mut self, env: Envelope, kind: MessageKind) -> Result<(usize, Envelope)> {
+        let (pid, round) = (addressee(&env)?, env.round);
+        let got = self
+            .link
+            .deliver(env, self.topo.home_relay(pid), Drain::UntilAccepted, |e| {
+                e.kind == kind && e.round == round
+            })?;
+        Ok((pid, got))
     }
 }

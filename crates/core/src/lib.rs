@@ -18,10 +18,13 @@
 //!
 //! Key types: [`SplitConfig`] (cut point, scheduling, `L1` sync strategy,
 //! the proportional-minibatch imbalance mitigation), [`Platform`] and
-//! [`SplitServer`] (the actors), [`SplitTrainer`] (deterministic driver),
-//! [`threaded::train_threaded`] (thread-per-node driver), [`comm`]
-//! (analytic byte costs for the full-size models) and
-//! [`TrainingHistory`] (the accuracy-vs-bytes curves of Fig. 4).
+//! [`SplitServer`] (the actors), [`RoundEngine`] (the one round lifecycle
+//! every driver runs) over a [`Route`]: [`SplitTrainer`] and
+//! [`UShapeTrainer`] ([`Star`]), [`ResilientTrainer`] ([`ReliableStar`]),
+//! [`HierResilientTrainer`] ([`RelayTree`]); [`threaded::train_threaded`]
+//! (thread-per-node driver), [`comm`] (analytic byte costs for the
+//! full-size models) and [`TrainingHistory`] (the accuracy-vs-bytes
+//! curves of Fig. 4).
 //!
 //! ```
 //! use medsplit_core::{SplitConfig, SplitTrainer};
@@ -47,9 +50,11 @@
 
 pub mod comm;
 mod config;
+mod engine;
 mod error;
 mod hier;
 mod history;
+mod link;
 pub mod messages;
 mod platform;
 pub mod relay;
@@ -64,12 +69,13 @@ pub use config::{
     Backoff, ComputeModel, HierPolicy, L1Sync, OptimizerKind, RoundPolicy, Scheduling, SplitConfig,
     SplitPoint, WireCodec,
 };
+pub use engine::{Exchange, RoundEngine, Route};
 pub use error::{Result, SplitError};
-pub use hier::{HierReport, HierResilientTrainer};
+pub use hier::{HierReport, HierResilientTrainer, RelayTree};
 pub use history::{RoundRecord, TrainingHistory};
 pub use platform::Platform;
-pub use resilient::{ResilienceReport, ResilientTrainer};
+pub use resilient::{ReliableStar, ResilienceReport, ResilientTrainer};
 pub use server::SplitServer;
 pub use split::{build_split, resolve_split, SplitModel};
-pub use trainer::SplitTrainer;
-pub use ushape::{UShapePlatform, UShapeTrainer};
+pub use trainer::{SplitTrainer, Star};
+pub use ushape::UShapeTrainer;

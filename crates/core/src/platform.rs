@@ -1,5 +1,5 @@
 //! The platform-side actor: owns local data, labels and the first hidden
-//! layer `L1`.
+//! layer `L1` — and, in the U-shaped variant, the final layers too.
 
 use medsplit_data::{BatchSampler, InMemoryDataset};
 use medsplit_nn::vectorize::{parameter_vector, set_parameter_vector};
@@ -20,6 +20,14 @@ use crate::messages::{decode_tensor, tensor_envelope_codec};
 /// Raw features and labels never leave this struct — the only outbound
 /// tensors are `L1` activations (message 1) and loss gradients w.r.t. the
 /// logits (message 3), exactly as in the paper's Fig. 2/3.
+///
+/// A platform may also hold a *tail*: the network's final layers,
+/// classifier included (the U-shaped variant of Vepakomma et al., the
+/// paper's reference \[1\]). The server then returns
+/// [`MessageKind::Features`] instead of logits; the platform runs the
+/// tail forward, the loss and the tail backward itself and replies with
+/// [`MessageKind::FeatureGrads`], so not even the model's predictions
+/// reach the server.
 pub struct Platform {
     id: usize,
     model: Sequential,
@@ -33,6 +41,8 @@ pub struct Platform {
     noise_rng: StdRng,
     pending_labels: Option<Vec<usize>>,
     samples_seen: u64,
+    /// The U-shaped variant's final layers and their optimiser.
+    tail: Option<(Sequential, Box<dyn Optimizer>)>,
 }
 
 impl Platform {
@@ -72,7 +82,14 @@ impl Platform {
             noise_rng: rng_from_seed(seed.rotate_left(17) ^ id as u64),
             pending_labels: None,
             samples_seen: 0,
+            tail: None,
         }
+    }
+
+    /// Keeps the network's final layers on this platform (the U-shaped
+    /// variant), trained by `optimizer`.
+    pub(crate) fn set_tail(&mut self, tail: Sequential, optimizer: Box<dyn Optimizer>) {
+        self.tail = Some((tail, optimizer));
     }
 
     /// Enables Gaussian noising of every transmitted activation tensor
@@ -138,9 +155,12 @@ impl Platform {
         self.samples_seen
     }
 
-    /// Sets the learning rate for the local `L1` optimiser.
+    /// Sets the learning rate for the local optimisers.
     pub fn set_lr(&mut self, lr: f32) {
         self.optimizer.set_learning_rate(lr);
+        if let Some((_, opt)) = &mut self.tail {
+            opt.set_learning_rate(lr);
+        }
     }
 
     /// Mutable access to the local `L1` model (used for evaluation and by
@@ -177,28 +197,48 @@ impl Platform {
     /// local loss against the retained labels, and returns the
     /// logit-gradient message plus the scalar loss.
     ///
+    /// A platform holding a tail receives [`MessageKind::Features`]
+    /// instead: it runs the tail forward, the loss, the tail backward and
+    /// the tail's update, and returns [`MessageKind::FeatureGrads`].
+    ///
     /// # Errors
     ///
-    /// Returns a protocol error if no round is in flight or the logits
-    /// batch does not match the retained labels.
+    /// Returns a protocol error if no round is in flight, the message
+    /// kind does not match the platform's shape, or the batch does not
+    /// match the retained labels.
     pub fn handle_logits(&mut self, env: &Envelope) -> Result<(Envelope, f32)> {
         let _span = medsplit_telemetry::span_round("loss_grad", env.round);
-        let logits = decode_tensor(env, MessageKind::Logits)?;
+        let (in_kind, out_kind) = match self.tail {
+            Some(_) => (MessageKind::Features, MessageKind::FeatureGrads),
+            None => (MessageKind::Logits, MessageKind::LogitGrads),
+        };
+        let input = decode_tensor(env, in_kind)?;
         let labels = self.pending_labels.as_ref().ok_or_else(|| {
-            SplitError::Protocol(format!("platform {} got logits with no round in flight", self.id))
+            SplitError::Protocol(format!(
+                "platform {} got {in_kind} with no round in flight",
+                self.id
+            ))
         })?;
+        let logits = match &mut self.tail {
+            Some((tail, _)) => tail.forward(&input, Mode::Train)?,
+            None => input,
+        };
         let out = softmax_cross_entropy(&logits, labels)?;
-        let grad = if self.grad_scale == 1.0 {
+        let mut grad = if self.grad_scale == 1.0 {
             out.grad
         } else {
             out.grad.scale(self.grad_scale)
         };
+        if let Some((tail, opt)) = &mut self.tail {
+            grad = tail.backward(&grad)?;
+            opt.step_and_zero(tail);
+        }
         Ok((
             tensor_envelope_codec(
                 self.node(),
                 NodeId::Server,
                 env.round,
-                MessageKind::LogitGrads,
+                out_kind,
                 &grad,
                 self.codec,
             ),
@@ -279,6 +319,23 @@ impl Platform {
         // The deployed system also transmits activations at inference
         // time, so the privacy noise applies there too.
         Ok(self.noised(acts))
+    }
+
+    /// Runs the tail, if this platform holds one, in inference mode on
+    /// the server's output; without a tail the server's output already
+    /// is the logits and is returned unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn infer_tail(&mut self, server_out: Tensor) -> Result<Tensor> {
+        let Some((tail, _)) = &mut self.tail else {
+            return Ok(server_out);
+        };
+        let prior = tail.mode();
+        let result = tail.forward(&server_out, Mode::Eval);
+        tail.set_mode(prior);
+        Ok(result?)
     }
 }
 

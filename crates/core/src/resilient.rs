@@ -1,7 +1,6 @@
-//! The fault-tolerant split-learning driver: quorum rounds, retry with
-//! exponential backoff, checksum-verified delivery, and crash–rejoin
-//! recovery from checkpoints, driven over a deterministic
-//! [`ChaosTransport`].
+//! The fault-tolerant star: quorum rounds, retry with exponential
+//! backoff, checksum-verified delivery, and crash–rejoin recovery from
+//! checkpoints, driven over a deterministic [`ChaosTransport`].
 //!
 //! The recovery invariant is round-granular: **a platform participates
 //! in a whole round or in none of it.** Activations are collected with
@@ -10,32 +9,26 @@
 //! messages with reliable (retried) delivery, so the server's batch
 //! layout can never be torn mid-round. Platforms that miss the cut — or
 //! are crashed by a scheduled [`ChaosEvent`] — simply sit the round out
-//! and rejoin at the next boundary from their last checkpoint.
+//! and rejoin at the next boundary from their last checkpoint (which
+//! the [`RoundEngine`] commits and restores).
 //!
-//! Everything is deterministic: the driver is single-threaded, iterates
+//! Everything is deterministic: the route is single-threaded, iterates
 //! platforms in id order, and all fault randomness comes from the
 //! chaos transport's seeded RNG — two runs with equal configs and
 //! equal fault plans produce bit-identical weights and histories.
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
+use medsplit_nn::Architecture;
 use medsplit_simnet::{ChaosEvent, ChaosTransport, Envelope, MessageKind, NodeId, Transport};
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::SplitConfig;
+use crate::engine::{Driver, Exchange, RoundEngine, Route};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
+use crate::link::{reweight, ChaosLink, Drain};
 use crate::platform::Platform;
 use crate::server::SplitServer;
-use crate::trainer::build_actors;
-
-/// Hard cap on delivery attempts for the within-round reliable path
-/// (server ↔ committed survivor). At 10 % loss the odds of exhausting
-/// this are ~1e-64; hitting the cap is reported as a protocol error
-/// rather than a torn round.
-const MAX_DELIVERY_ATTEMPTS: u32 = 64;
 
 /// Counters describing how much fault handling a run actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,33 +54,31 @@ pub struct ResilienceReport {
     pub rejoins: u64,
 }
 
-/// Fault-tolerant counterpart of [`crate::SplitTrainer`], driving the
-/// same actors over a [`ChaosTransport`] under the configured
+/// The reliable star route: every platform talks to the server
+/// directly over a [`ChaosTransport`], under the configured
 /// [`RoundPolicy`](crate::RoundPolicy).
-pub struct ResilientTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    platforms: Vec<Platform>,
-    server: SplitServer,
-    chaos: &'t ChaosTransport<T>,
-    test: InMemoryDataset,
-    client_params: usize,
-    server_params: usize,
-    /// Pristine per-platform snapshots: what a crashed node is reset to
-    /// before its checkpoint is restored (RAM is gone, disk survives).
-    initial_snapshots: Vec<Bytes>,
-    /// Last committed checkpoint per platform id.
-    checkpoints: BTreeMap<usize, Bytes>,
-    report: ResilienceReport,
+///
+/// Send order: activations go out to all live platforms at once; after
+/// the aggregate forward, each survivor's logits → grads exchange
+/// completes before the next survivor's starts, then the cut gradients
+/// go out one survivor at a time.
+pub struct ReliableStar<'t, T> {
+    link: ChaosLink<'t, T>,
 }
 
-impl<'t, T: Transport> ResilientTrainer<'t, T> {
+/// Fault-tolerant counterpart of [`crate::SplitTrainer`]: the
+/// [`RoundEngine`] over a [`ReliableStar`].
+pub type ResilientTrainer<'t, T> = RoundEngine<ReliableStar<'t, T>>;
+
+impl<'t, T: Transport> RoundEngine<ReliableStar<'t, T>> {
     /// Builds the trainer over a chaos transport.
     ///
     /// # Errors
     ///
     /// Returns configuration errors for invalid configs, unsupported
     /// scheduling (the resilient driver implements the paper-default
-    /// `Aggregate` + `CommonInit` combination), or a dirty transport.
+    /// `Aggregate` + `CommonInit` combination), a quorum larger than the
+    /// fleet, or a dirty transport.
     pub fn new(
         arch: &Architecture,
         config: SplitConfig,
@@ -95,610 +86,96 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         test: InMemoryDataset,
         chaos: &'t ChaosTransport<T>,
     ) -> Result<Self> {
-        config.validate().map_err(SplitError::Config)?;
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "resilient mode implements Aggregate scheduling".into(),
-            ));
-        }
-        if config.l1_sync != L1Sync::CommonInit {
-            return Err(SplitError::Config(
-                "resilient mode implements CommonInit L1 sync".into(),
-            ));
-        }
-        if chaos.stats().snapshot().messages > 0 {
-            return Err(SplitError::Config(
-                "transport has already been used; accounting would be polluted".into(),
-            ));
-        }
-        let (mut platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
-        if config.round_policy.min_platforms > platforms.len() {
-            return Err(SplitError::Config(format!(
-                "quorum of {} exceeds the {} configured platforms",
-                config.round_policy.min_platforms,
-                platforms.len()
-            )));
-        }
-        let initial_snapshots = platforms.iter_mut().map(Platform::checkpoint).collect();
-        Ok(ResilientTrainer {
-            config,
-            platforms,
-            server,
-            chaos,
-            test,
-            client_params,
-            server_params,
-            initial_snapshots,
-            checkpoints: BTreeMap::new(),
-            report: ResilienceReport::default(),
-        })
+        let route = ReliableStar {
+            link: ChaosLink::new(chaos, "resilient", 1),
+        };
+        Self::assemble(arch, config, shards, test, route, Driver::ReliableStar, None)
     }
 
     /// The fault-handling counters accumulated so far.
     pub fn report(&self) -> ResilienceReport {
-        self.report
+        self.route.link.report.base
+    }
+}
+
+impl<T: Transport> Route for ReliableStar<'_, T> {
+    fn transport(&self) -> &dyn Transport {
+        self.link.chaos
     }
 
-    /// The platform actors (for inspection).
-    pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.platforms
+    fn begin_round(&mut self, round: u64) -> Vec<ChaosEvent> {
+        self.link.begin_round(round)
     }
 
-    /// Mean test accuracy over the currently *live* platforms' deployed
-    /// models (crashed hospitals cannot serve).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        let mut counted = 0usize;
-        for platform in &mut self.platforms {
-            if self.chaos.is_down(platform.node()) {
-                continue;
-            }
-            let mut correct_weighted = 0.0;
-            let mut seen = 0usize;
-            let n = self.test.len();
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (features, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_l1(&features)?;
-                let logits = self.server.infer(&acts)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                seen += count;
-                start += count;
-            }
-            total += correct_weighted / seen.max(1) as f32;
-            counted += 1;
-        }
-        Ok(total / counted.max(1) as f32)
+    fn is_down(&self, node: NodeId) -> bool {
+        self.link.chaos.is_down(node)
     }
 
-    fn count(name: &str, n: u64) {
-        if n > 0 && medsplit_telemetry::enabled() {
-            medsplit_telemetry::counter_add(name, n);
-        }
-    }
-
-    /// Applies this round's scheduled chaos events: crashes wipe the
-    /// actor back to its pristine state (RAM is lost), recoveries
-    /// restore the last committed checkpoint (disk survives).
-    fn apply_events(&mut self, events: &[ChaosEvent]) -> Result<()> {
-        for event in events {
-            match *event {
-                ChaosEvent::Crash {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.crashes += 1;
-                    Self::count("resilient.crashes", 1);
-                    if let Some(p) = self.platforms.get_mut(pid) {
-                        p.restore(&self.initial_snapshots[pid])?;
-                    }
-                }
-                ChaosEvent::Recover {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.rejoins += 1;
-                    Self::count("resilient.rejoins", 1);
-                    if let (Some(p), Some(blob)) = (self.platforms.get_mut(pid), self.checkpoints.get(&pid)) {
-                        p.restore(blob)?;
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains the server inbox into `received`, validating checksums and
-    /// keeping the first well-formed envelope of `kind` per platform.
-    fn drain_server(&mut self, round: u64, kind: MessageKind, received: &mut BTreeMap<usize, Envelope>) {
-        while let Some(env) = self.chaos.try_recv(NodeId::Server) {
-            if !env.verify_checksum() {
-                self.report.checksum_rejections += 1;
-                Self::count("resilient.checksum_rejections", 1);
-                continue;
-            }
-            let pid = match env.src.platform_index() {
-                Some(p) => p,
-                None => {
-                    self.report.stray_messages += 1;
-                    continue;
-                }
-            };
-            if env.kind != kind || env.round != round || received.contains_key(&pid) {
-                self.report.stray_messages += 1;
-                continue;
-            }
-            received.insert(pid, env);
-        }
-    }
-
-    /// Collects activations from the live platforms: send, retry with
-    /// backoff + jitter, and give up on stragglers past the deadline or
-    /// out of retries. Returns the surviving `(pid → envelope)` map.
-    fn collect_activations(
+    fn exchange(
         &mut self,
         round: u64,
-        live: &[usize],
-        start_clocks: &BTreeMap<usize, f64>,
-    ) -> Result<BTreeMap<usize, Envelope>> {
-        let policy = self.config.round_policy;
-        let stats = self.chaos.stats();
-        // Cache every outbound envelope so a loss can be retried without
-        // resampling the minibatch (the platform's round state must not
-        // advance twice).
-        let mut pending: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for &pid in live {
-            let env = self.platforms[pid].start_round(round)?;
-            pending.insert(pid, env.clone());
-            self.chaos.send(env)?;
+        config: &SplitConfig,
+        platforms: &mut [Platform],
+        server: &mut SplitServer,
+    ) -> Result<Exchange> {
+        let policy = &config.round_policy;
+        let mut pending = BTreeMap::new();
+        for p in platforms
+            .iter_mut()
+            .filter(|p| !self.link.chaos.is_down(p.node()))
+        {
+            pending.insert(p.id(), p.start_round(round)?);
         }
-        self.chaos.flush();
-
-        let mut received: BTreeMap<usize, Envelope> = BTreeMap::new();
-        let mut expired: Vec<usize> = Vec::new();
-        for attempt in 0..=policy.max_retries {
-            self.drain_server(round, MessageKind::Activations, &mut received);
-            pending.retain(|pid, _| !received.contains_key(pid));
-            // Deadline check on the simulated clock: a platform that has
-            // fallen too far behind its own round start is skipped —
-            // even if its late message eventually arrived, the round
-            // cannot have waited for it.
-            for &pid in live {
-                if !expired.contains(&pid)
-                    && stats.clock(NodeId::Platform(pid)) > start_clocks[&pid] + policy.deadline_s
-                {
-                    expired.push(pid);
-                }
-            }
-            for pid in &expired {
-                pending.remove(pid);
-                received.remove(pid);
-            }
-            if pending.is_empty() || attempt == policy.max_retries {
-                break;
-            }
-            // Retry the missing platforms after backing off: the wait and
-            // the re-send both advance the sender's simulated clock.
-            for (pid, env) in &pending {
-                let delay = policy.backoff.delay_s(attempt) * self.chaos.backoff_jitter();
-                stats.advance_clock(NodeId::Platform(*pid), delay);
-                self.report.retries += 1;
-                Self::count("resilient.retries", 1);
-                self.chaos.send(env.clone())?;
-            }
-            self.chaos.flush();
-        }
-        self.drain_server(round, MessageKind::Activations, &mut received);
-        for pid in &expired {
-            received.remove(pid);
-        }
-        Ok(received)
-    }
-
-    /// Reliable server → platform delivery of one envelope: resend until
-    /// a checksum-valid copy of the right kind arrives.
-    fn deliver_to_platform(&mut self, env: Envelope, kind: MessageKind) -> Result<Envelope> {
-        let (dst, round) = (env.dst, env.round);
-        for _ in 0..MAX_DELIVERY_ATTEMPTS {
-            self.chaos.send(env.clone())?;
-            self.chaos.flush();
-            while let Some(got) = self.chaos.try_recv(dst) {
-                if !got.verify_checksum() {
-                    self.report.checksum_rejections += 1;
-                    Self::count("resilient.checksum_rejections", 1);
-                    continue;
-                }
-                if got.kind == kind && got.round == round {
-                    return Ok(got);
-                }
-                self.report.stray_messages += 1;
-            }
-            self.report.retries += 1;
-            Self::count("resilient.retries", 1);
-        }
-        Err(SplitError::Protocol(format!(
-            "reliable delivery of {kind} to {dst} exhausted {MAX_DELIVERY_ATTEMPTS} attempts"
-        )))
-    }
-
-    /// Reliable platform → server delivery: resend until the server
-    /// holds a checksum-valid envelope of `kind` from `pid`.
-    fn deliver_to_server(&mut self, env: Envelope, pid: usize, kind: MessageKind) -> Result<Envelope> {
-        let round = env.round;
-        for _ in 0..MAX_DELIVERY_ATTEMPTS {
-            self.chaos.send(env.clone())?;
-            self.chaos.flush();
-            let mut received = BTreeMap::new();
-            self.drain_server(round, kind, &mut received);
-            if let Some(got) = received.remove(&pid) {
-                // Anything else drained alongside is not expected here:
-                // committed survivors exchange strictly in id order.
-                self.report.stray_messages += received.len() as u64;
-                return Ok(got);
-            }
-            self.report.stray_messages += received.len() as u64;
-            self.report.retries += 1;
-            Self::count("resilient.retries", 1);
-        }
-        Err(SplitError::Protocol(format!(
-            "reliable delivery of {kind} from platform {pid} exhausted {MAX_DELIVERY_ATTEMPTS} attempts"
-        )))
-    }
-
-    /// One quorum round. Returns `(mean_loss, participants)`; a quorum
-    /// failure yields `(0.0, survivors)` with no update applied.
-    fn run_round(&mut self, round: u64) -> Result<(f32, usize)> {
-        let policy = self.config.round_policy;
-        let live: Vec<usize> = self
-            .platforms
-            .iter()
-            .map(Platform::id)
-            .filter(|&pid| !self.chaos.is_down(NodeId::Platform(pid)))
-            .collect();
-        let stats = self.chaos.stats();
-        let start_clocks: BTreeMap<usize, f64> = live
-            .iter()
-            .map(|&pid| (pid, stats.clock(NodeId::Platform(pid))))
-            .collect();
-
-        let acts = self.collect_activations(round, &live, &start_clocks)?;
-        let skipped = live.len() - acts.len();
-        self.report.skipped_platform_rounds += skipped as u64;
-        Self::count("resilient.skipped_platforms", skipped as u64);
-
-        if acts.len() < policy.min_platforms {
-            self.report.quorum_failures += 1;
-            Self::count("resilient.quorum_failures", 1);
-            return Ok((0.0, acts.len()));
-        }
-
-        // Re-normalise the imbalance-weighted minibatch contribution over
-        // the survivors: the aggregate update must be the gradient of the
-        // mean loss over the union batch that actually arrived.
-        let survivor_batch: usize = acts.keys().map(|&pid| self.platforms[pid].batch_size()).sum();
-        for &pid in acts.keys() {
-            let share = self.platforms[pid].batch_size() as f32 / survivor_batch.max(1) as f32;
-            self.platforms[pid].set_grad_scale(share);
-        }
-
-        let act_envs: Vec<Envelope> = acts.values().cloned().collect();
+        let server_sink = |_| Some(NodeId::Server);
+        let acts = self
+            .link
+            .collect(round, policy, pending, &[NodeId::Server], server_sink, |_| 0)?;
         let survivors: Vec<usize> = acts.keys().copied().collect();
-        let mut losses = Vec::with_capacity(survivors.len());
+        if !self.link.quorum_met(survivors.len(), platforms.len(), policy) {
+            return Ok(Exchange::dropped(survivors));
+        }
+        reweight(platforms, &survivors);
 
         // Steps 2–5 run over the reliable path: the survivors are now
         // committed to the round, so the aggregate layout must complete.
+        let act_envs: Vec<Envelope> = acts.into_values().collect();
+        let mut losses = Vec::with_capacity(survivors.len());
         let mut grad_envs = Vec::with_capacity(survivors.len());
-        for env in self.server.aggregate_forward(&act_envs)? {
-            let pid = env
-                .dst
-                .platform_index()
-                .ok_or_else(|| SplitError::Protocol("logits addressed to the server".into()))?;
-            let logits = self.deliver_to_platform(env, MessageKind::Logits)?;
-            let (grads, loss) = self.platforms[pid].handle_logits(&logits)?;
+        for env in server.aggregate_forward(&act_envs)? {
+            let pid = addressee(&env)?;
+            let logits = self.deliver_down(env)?;
+            let (grads, loss) = platforms[pid].handle_logits(&logits)?;
             losses.push(loss);
-            grad_envs.push(self.deliver_to_server(grads, pid, MessageKind::LogitGrads)?);
+            // The server drains its whole inbox per attempt, a platform
+            // stops at the first accepted copy: the stray and rejection
+            // counts the fault baselines pin depend on both.
+            let got = self.link.deliver(grads, 0, Drain::Inbox, |e| {
+                e.kind == MessageKind::LogitGrads && e.round == round && e.src == NodeId::Platform(pid)
+            })?;
+            grad_envs.push(got);
         }
-        for env in self.server.aggregate_backward(&grad_envs)? {
-            let pid = env
-                .dst
-                .platform_index()
-                .ok_or_else(|| SplitError::Protocol("cut grads addressed to the server".into()))?;
-            let cut = self.deliver_to_platform(env, MessageKind::CutGrads)?;
-            self.platforms[pid].handle_cut_grads(&cut)?;
+        for env in server.aggregate_backward(&grad_envs)? {
+            let pid = addressee(&env)?;
+            let cut = self.deliver_down(env)?;
+            platforms[pid].handle_cut_grads(&cut)?;
         }
-
-        // Commit: the survivors' post-update state becomes their rejoin
-        // point.
-        for &pid in &survivors {
-            let blob = self.platforms[pid].checkpoint();
-            self.checkpoints.insert(pid, blob);
-        }
-
-        // Charge this round's local compute to the simulated clocks.
-        let compute = self.config.compute;
-        for &pid in &survivors {
-            let s = compute.seconds(
-                compute.platform_s_per_msample,
-                self.platforms[pid].batch_size(),
-                self.client_params,
-            );
-            stats.advance_clock(NodeId::Platform(pid), s);
-        }
-        let s = compute.seconds(compute.server_s_per_msample, survivor_batch, self.server_params);
-        stats.advance_clock(NodeId::Server, s);
-
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        Ok((mean_loss, survivors.len()))
+        Ok(Exchange::applied(&losses, survivors))
     }
+}
 
-    /// Runs the configured number of rounds under the fault plan and
-    /// returns the history (method `"split_resilient"`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor and protocol errors; tolerated faults (loss,
-    /// corruption, crashes within quorum) do not error.
-    pub fn run(&mut self) -> Result<TrainingHistory> {
-        let k = self.platforms.len();
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let round_start = std::time::Instant::now();
-            let events = self.chaos.begin_round(round as u64);
-            self.apply_events(&events)?;
-
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            let (mean_loss, participants) = self.run_round(round as u64)?;
-            let degraded = participants < k;
-            if degraded {
-                self.report.degraded_rounds += 1;
-                Self::count("resilient.degraded_rounds", 1);
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.chaos.stats().snapshot();
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants,
-                degraded,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
-        Ok(TrainingHistory {
-            method: "split_resilient".into(),
-            records,
-            final_accuracy,
-            stats: self.chaos.stats().snapshot(),
+impl<T: Transport> ReliableStar<'_, T> {
+    /// Reliable server → platform delivery of one envelope.
+    fn deliver_down(&mut self, env: Envelope) -> Result<Envelope> {
+        let (kind, round) = (env.kind, env.round);
+        self.link.deliver(env, 0, Drain::UntilAccepted, |e| {
+            e.kind == kind && e.round == round
         })
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{FaultPlan, MemoryTransport, StarTopology};
-
-    fn arch() -> Architecture {
-        Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![16],
-            num_classes: 3,
-        })
-    }
-
-    fn setup(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-        let gen = SyntheticTabular::new(3, 8, 0);
-        let train = gen.generate(160).unwrap();
-        let test = SyntheticTabular::new(3, 8, 1).generate(40).unwrap();
-        let shards = partition(&train, platforms, &Partition::Iid, 1).unwrap();
-        (shards, test)
-    }
-
-    fn config(rounds: usize) -> SplitConfig {
-        SplitConfig {
-            rounds,
-            eval_every: rounds,
-            lr: LrSchedule::Constant(0.1),
-            minibatch: MinibatchPolicy::Fixed(10),
-            ..SplitConfig::default()
-        }
-    }
-
-    fn run_with(plan: FaultPlan, rounds: usize, platforms: usize) -> (TrainingHistory, ResilienceReport) {
-        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(platforms)), plan);
-        let (shards, test) = setup(platforms);
-        let mut trainer = ResilientTrainer::new(&arch(), config(rounds), shards, test, &chaos).unwrap();
-        let history = trainer.run().unwrap();
-        (history, trainer.report())
-    }
-
-    #[test]
-    fn healthy_run_matches_failure_free_semantics() {
-        let (history, report) = run_with(FaultPlan::new(1), 30, 3);
-        assert_eq!(history.method, "split_resilient");
-        assert_eq!(history.records.len(), 30);
-        assert_eq!(history.degraded_rounds(), 0);
-        assert_eq!(report, ResilienceReport::default());
-        assert!(
-            history.final_accuracy > 0.6,
-            "accuracy {}",
-            history.final_accuracy
-        );
-        assert!(history.records.iter().all(|r| r.participants == 3));
-    }
-
-    #[test]
-    fn ten_percent_loss_retries_and_still_learns() {
-        let (history, report) = run_with(FaultPlan::new(7).with_drop(0.1), 30, 3);
-        assert!(report.retries > 0, "10% loss must trigger retries");
-        assert!(
-            history.final_accuracy > 0.6,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn corruption_is_rejected_and_survived() {
-        let (history, report) = run_with(FaultPlan::new(9).with_corrupt(0.1), 20, 3);
-        assert!(report.checksum_rejections > 0);
-        assert!(
-            history.final_accuracy > 0.5,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn crash_rejoin_counts_degraded_rounds_exactly() {
-        let plan = FaultPlan::new(3)
-            .crash(NodeId::Platform(1), 5)
-            .recover(NodeId::Platform(1), 9);
-        let (history, report) = run_with(plan, 20, 3);
-        assert_eq!(report.crashes, 1);
-        assert_eq!(report.rejoins, 1);
-        // Rounds 5..9 ran with 2 of 3 platforms — exactly 4 degraded.
-        assert_eq!(history.degraded_rounds(), 4);
-        for r in &history.records {
-            let expected = if (5..9).contains(&r.round) { 2 } else { 3 };
-            assert_eq!(r.participants, expected, "round {}", r.round);
-        }
-        assert!(
-            history.final_accuracy > 0.5,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn straggler_past_deadline_is_skipped_every_round() {
-        let plan = FaultPlan::new(5).straggler(NodeId::Platform(1), 5.0);
-        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
-        let (shards, test) = setup(3);
-        let mut cfg = config(8);
-        cfg.round_policy.deadline_s = 1.0;
-        let mut trainer = ResilientTrainer::new(&arch(), cfg, shards, test, &chaos).unwrap();
-        let history = trainer.run().unwrap();
-        // The straggler pays 5 simulated seconds per send against a 1 s
-        // deadline: it is skipped in every round, but training proceeds.
-        assert_eq!(trainer.report().skipped_platform_rounds, 8);
-        assert_eq!(history.degraded_rounds(), 8);
-        assert!(history.records.iter().all(|r| r.participants == 2));
-    }
-
-    #[test]
-    fn duplicates_and_reordering_do_not_change_converged_weights() {
-        let run_weights = |plan: FaultPlan| {
-            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
-            let (shards, test) = setup(3);
-            let mut trainer = ResilientTrainer::new(&arch(), config(12), shards, test, &chaos).unwrap();
-            let history = trainer.run().unwrap();
-            let weights: Vec<_> = trainer
-                .platforms_mut()
-                .iter_mut()
-                .map(Platform::l1_parameters)
-                .collect();
-            (weights, history.final_accuracy.to_bits())
-        };
-        let (clean_w, clean_acc) = run_weights(FaultPlan::new(6));
-        let (noisy_w, noisy_acc) = run_weights(FaultPlan::new(6).with_dup(0.3).with_reorder(0.3));
-        // Duplicate and reordered delivery is absorbed by dedup and
-        // pid-keyed collection: the learned weights are exactly equal.
-        assert_eq!(clean_w, noisy_w);
-        assert_eq!(clean_acc, noisy_acc);
-    }
-
-    #[test]
-    fn quorum_failure_drops_the_update() {
-        // Both platforms crash: every affected round is a quorum failure.
-        let plan = FaultPlan::new(4)
-            .crash(NodeId::Platform(0), 2)
-            .crash(NodeId::Platform(1), 2)
-            .recover(NodeId::Platform(0), 4)
-            .recover(NodeId::Platform(1), 4);
-        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(2)), plan);
-        let (shards, test) = setup(2);
-        let mut cfg = config(6);
-        cfg.round_policy.min_platforms = 2;
-        let mut trainer = ResilientTrainer::new(&arch(), cfg, shards, test, &chaos).unwrap();
-        let history = trainer.run().unwrap();
-        assert_eq!(trainer.report().quorum_failures, 2);
-        assert_eq!(history.degraded_rounds(), 2);
-        assert!(history.records[2].participants == 0 && history.records[3].participants == 0);
-    }
-
-    #[test]
-    fn replays_bit_identically() {
-        let plan = FaultPlan::new(42)
-            .with_drop(0.1)
-            .with_corrupt(0.05)
-            .with_dup(0.05)
-            .crash(NodeId::Platform(2), 4)
-            .recover(NodeId::Platform(2), 8);
-        let (h1, r1) = run_with(plan.clone(), 15, 3);
-        let (h2, r2) = run_with(plan, 15, 3);
-        assert_eq!(r1, r2);
-        // Everything except host wall time must replay bit-identically.
-        let key = |h: &TrainingHistory| -> Vec<_> {
-            h.records
-                .iter()
-                .map(|r| {
-                    (
-                        r.round,
-                        r.mean_loss.to_bits(),
-                        r.cumulative_bytes,
-                        r.simulated_time_s.to_bits(),
-                        r.participants,
-                        r.degraded,
-                        r.accuracy.map(f32::to_bits),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(key(&h1), key(&h2), "same seed ⇒ bit-identical history");
-        assert_eq!(h1.stats, h2.stats);
-        assert_eq!(h1.final_accuracy.to_bits(), h2.final_accuracy.to_bits());
-    }
-
-    #[test]
-    fn quorum_larger_than_fleet_rejected() {
-        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(2)), FaultPlan::new(0));
-        let (shards, test) = setup(2);
-        let mut cfg = config(2);
-        cfg.round_policy.min_platforms = 3;
-        assert!(matches!(
-            ResilientTrainer::new(&arch(), cfg, shards, test, &chaos),
-            Err(SplitError::Config(_))
-        ));
-    }
+/// The platform a server envelope is addressed to.
+pub(crate) fn addressee(env: &Envelope) -> Result<usize> {
+    env.dst
+        .platform_index()
+        .ok_or_else(|| SplitError::Protocol(format!("{} addressed to {}", env.kind, env.dst)))
 }

@@ -20,8 +20,6 @@ pub struct SplitServer {
     /// Batch layout of the in-flight aggregated round:
     /// `(platform, batch_size)` in concatenation order.
     layout: Vec<(usize, usize)>,
-    /// Platform whose round-robin exchange is in flight.
-    in_flight: Option<usize>,
     codec: WireCodec,
     /// Kind of the server's forward output (Logits for the standard
     /// protocol; Features for the U-shaped variant).
@@ -38,7 +36,6 @@ impl SplitServer {
             model,
             optimizer: crate::config::OptimizerKind::Sgd.build(momentum),
             layout: Vec::new(),
-            in_flight: None,
             codec: WireCodec::F32,
             fwd_out_kind: MessageKind::Logits,
             bwd_in_kind: MessageKind::LogitGrads,
@@ -130,11 +127,10 @@ impl SplitServer {
         Ok(())
     }
 
-    // ----- aggregate scheduling --------------------------------------------
-
     /// **Aggregate forward**: concatenates all platforms' activation
     /// batches (sorted by platform id), runs one forward pass, and returns
-    /// per-platform logits messages.
+    /// per-platform logits messages. Under round-robin scheduling the
+    /// star calls it with one platform's activations at a time.
     ///
     /// # Errors
     ///
@@ -248,70 +244,6 @@ impl SplitServer {
         self.layout.clear();
         Ok(out)
     }
-
-    // ----- round-robin scheduling ------------------------------------------
-
-    /// **Round-robin forward**: processes one platform's activations and
-    /// returns its logits message. The server then expects that platform's
-    /// gradients before any other forward.
-    ///
-    /// # Errors
-    ///
-    /// Returns protocol errors if another exchange is in flight.
-    pub fn platform_forward(&mut self, env: &Envelope) -> Result<Envelope> {
-        let _span = medsplit_telemetry::span_round("server_fwd_bwd", env.round);
-        if let Some(p) = self.in_flight {
-            return Err(SplitError::Protocol(format!(
-                "platform {p} exchange still in flight"
-            )));
-        }
-        let pid = sender_platform(env)?;
-        let acts = decode_tensor(env, MessageKind::Activations)?;
-        let logits = self.model.forward(&acts, Mode::Train)?;
-        self.in_flight = Some(pid);
-        Ok(tensor_envelope_codec(
-            NodeId::Server,
-            NodeId::Platform(pid),
-            env.round,
-            self.fwd_out_kind,
-            &logits,
-            self.codec,
-        ))
-    }
-
-    /// **Round-robin backward**: backpropagates one platform's logit
-    /// gradients, applies the optimiser step, and returns its cut
-    /// gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns protocol errors if the sender does not match the in-flight
-    /// platform.
-    pub fn platform_backward(&mut self, env: &Envelope) -> Result<Envelope> {
-        let _span = medsplit_telemetry::span_round("server_fwd_bwd", env.round);
-        let pid = sender_platform(env)?;
-        match self.in_flight.take() {
-            Some(p) if p == pid => {}
-            Some(p) => {
-                self.in_flight = Some(p);
-                return Err(SplitError::Protocol(format!(
-                    "expected gradients from platform {p}, got {pid}"
-                )));
-            }
-            None => return Err(SplitError::Protocol("gradients with no forward in flight".into())),
-        }
-        let grad = decode_tensor(env, self.bwd_in_kind)?;
-        let cut = self.model.backward(&grad)?;
-        self.optimizer.step_and_zero(&mut self.model);
-        Ok(tensor_envelope_codec(
-            NodeId::Server,
-            NodeId::Platform(pid),
-            env.round,
-            MessageKind::CutGrads,
-            &cut,
-            self.codec,
-        ))
-    }
 }
 
 impl std::fmt::Debug for SplitServer {
@@ -424,7 +356,7 @@ mod tests {
         let mut s = SplitServer::new(m, 0.0);
 
         // Mid-training inference: a forward is in flight.
-        let _ = s.platform_forward(&acts_env(0, 2, 0)).unwrap();
+        let _ = s.aggregate_forward(&[acts_env(0, 2, 0)]).unwrap();
         assert_eq!(s.model_mut().mode(), Mode::Train);
         let x = Tensor::full([4, 6], 0.5);
         let a = s.infer(&x).unwrap();
@@ -432,7 +364,7 @@ mod tests {
         assert_eq!(a.as_slice(), b.as_slice(), "eval inference must be deterministic");
         assert_eq!(s.model_mut().mode(), Mode::Train, "mode must be restored");
         // The in-flight exchange still completes against the training cache.
-        assert!(s.platform_backward(&grads_env(0, 2, 0)).is_ok());
+        assert!(s.aggregate_backward(&[grads_env(0, 2, 0)]).is_ok());
     }
 
     #[test]
@@ -443,23 +375,5 @@ mod tests {
         let blob = a.checkpoint();
         b.restore(&blob).unwrap();
         assert_eq!(a.weights_digest(), b.weights_digest());
-    }
-
-    #[test]
-    fn round_robin_enforces_ordering() {
-        let mut s = server(4);
-        let logits = s.platform_forward(&acts_env(0, 2, 0)).unwrap();
-        assert_eq!(logits.dst, NodeId::Platform(0));
-        // Second forward before backward is a violation.
-        assert!(s.platform_forward(&acts_env(1, 2, 0)).is_err());
-        // Gradients from the wrong platform rejected.
-        assert!(s.platform_backward(&grads_env(1, 2, 0)).is_err());
-        let cut = s.platform_backward(&grads_env(0, 2, 0)).unwrap();
-        assert_eq!(
-            decode_tensor(&cut, MessageKind::CutGrads).unwrap().dims(),
-            &[2, 6]
-        );
-        // Backward with nothing in flight.
-        assert!(s.platform_backward(&grads_env(0, 2, 0)).is_err());
     }
 }

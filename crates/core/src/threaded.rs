@@ -3,24 +3,16 @@
 //! server running concurrently on its own OS thread, synchronised only
 //! through the transport — shaped like a real deployment.
 
-use std::time::Duration;
-
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
+use medsplit_nn::Architecture;
 use medsplit_simnet::{recv_timeout_default, threaded::run_per_node, Envelope, NodeId, Transport};
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::SplitConfig;
+use crate::engine::{evaluate, history, prepare, Actors, Driver};
 use crate::error::{Result, SplitError};
 use crate::history::{RoundRecord, TrainingHistory};
 use crate::platform::Platform;
 use crate::server::SplitServer;
-use crate::trainer::build_actors;
-
-/// Shared, env-overridable blocking-receive timeout
-/// (see [`medsplit_simnet::recv_timeout_default`]).
-fn recv_timeout() -> Duration {
-    recv_timeout_default()
-}
 
 enum NodeResult {
     Server(Box<SplitServer>),
@@ -33,26 +25,19 @@ fn server_loop<T: Transport>(
     platforms: usize,
     transport: &T,
 ) -> Result<NodeResult> {
+    // One blocking receive per platform, with the shared env-overridable
+    // timeout.
+    let recv_all = || -> Result<Vec<Envelope>> {
+        (0..platforms)
+            .map(|_| Ok(transport.recv_timeout(NodeId::Server, recv_timeout_default())?))
+            .collect()
+    };
     for round in 0..config.rounds {
         server.set_lr(config.lr.lr_at(round));
-        let acts: Vec<Envelope> = (0..platforms)
-            .map(|_| {
-                transport
-                    .recv_timeout(NodeId::Server, recv_timeout())
-                    .map_err(SplitError::from)
-            })
-            .collect::<Result<_>>()?;
-        for env in server.aggregate_forward(&acts)? {
+        for env in server.aggregate_forward(&recv_all()?)? {
             transport.send(env)?;
         }
-        let grads: Vec<Envelope> = (0..platforms)
-            .map(|_| {
-                transport
-                    .recv_timeout(NodeId::Server, recv_timeout())
-                    .map_err(SplitError::from)
-            })
-            .collect::<Result<_>>()?;
-        for env in server.aggregate_backward(&grads)? {
+        for env in server.aggregate_backward(&recv_all()?)? {
             transport.send(env)?;
         }
     }
@@ -71,11 +56,11 @@ fn platform_loop<T: Transport>(
         platform.set_lr(config.lr.lr_at(round));
         let acts = platform.start_round(round as u64)?;
         transport.send(acts)?;
-        let logits = transport.recv_timeout(node, recv_timeout())?;
+        let logits = transport.recv_timeout(node, recv_timeout_default())?;
         let (grads, loss) = platform.handle_logits(&logits)?;
         losses.push(loss);
         transport.send(grads)?;
-        let cut = transport.recv_timeout(node, recv_timeout())?;
+        let cut = transport.recv_timeout(node, recv_timeout_default())?;
         platform.handle_cut_grads(&cut)?;
     }
     Ok(NodeResult::Platform(Box::new(platform), losses))
@@ -83,10 +68,11 @@ fn platform_loop<T: Transport>(
 
 /// Trains with one OS thread per node and returns the history.
 ///
-/// The actors and arithmetic are identical to the deterministic trainer;
-/// with [`Scheduling::Aggregate`] the server's concatenation order is
-/// fixed (sorted by platform id), so the learned parameters — and the
-/// total byte count — are bit-identical to a sequential run with the same
+/// Validation, the actors, the final evaluation and the history come
+/// from the [`RoundEngine`](crate::RoundEngine); only the node loops are
+/// this runtime's own. The server's concatenation order is fixed (sorted
+/// by platform id), so the learned parameters — and the total byte
+/// count — are bit-identical to a sequential run with the same
 /// configuration.
 ///
 /// Per-round byte counts are not observable from inside the node threads,
@@ -95,9 +81,10 @@ fn platform_loop<T: Transport>(
 ///
 /// # Errors
 ///
-/// Returns configuration errors for unsupported settings (threaded mode
-/// implements the paper-default `Aggregate` + `CommonInit` combination)
-/// and propagates any node's protocol error.
+/// Returns configuration errors for invalid or unsupported settings
+/// (threaded mode implements the paper-default `Aggregate` +
+/// `CommonInit` combination) or a used transport, and propagates any
+/// node's protocol error.
 pub fn train_threaded<T: Transport>(
     arch: &Architecture,
     config: SplitConfig,
@@ -105,18 +92,9 @@ pub fn train_threaded<T: Transport>(
     test: InMemoryDataset,
     transport: &T,
 ) -> Result<TrainingHistory> {
-    config.validate().map_err(SplitError::Config)?;
-    if config.scheduling != Scheduling::Aggregate {
-        return Err(SplitError::Config(
-            "threaded mode implements Aggregate scheduling".into(),
-        ));
-    }
-    if config.l1_sync != L1Sync::CommonInit {
-        return Err(SplitError::Config(
-            "threaded mode implements CommonInit L1 sync".into(),
-        ));
-    }
-    let (platforms, server, _client_params, _server_params) = build_actors(arch, &config, shards)?;
+    let Actors {
+        platforms, server, ..
+    } = prepare(arch, &config, shards, transport, Driver::Threaded, None)?;
     let k = platforms.len();
 
     type NodeFn<'a, T> = Box<dyn FnOnce(NodeId, &T) -> Result<NodeResult> + Send + 'a>;
@@ -139,57 +117,39 @@ pub fn train_threaded<T: Transport>(
     let train_wall_s = train_start.elapsed().as_secs_f64();
 
     let mut server_back: Option<Box<SplitServer>> = None;
-    let mut platforms_back: Vec<(Box<Platform>, Vec<f32>)> = Vec::new();
+    let mut platforms_back: Vec<(Platform, Vec<f32>)> = Vec::new();
     for (_, result) in results {
         match result? {
             NodeResult::Server(s) => server_back = Some(s),
-            NodeResult::Platform(p, losses) => platforms_back.push((p, losses)),
+            NodeResult::Platform(p, losses) => platforms_back.push((*p, losses)),
         }
     }
     let mut server =
         *server_back.ok_or_else(|| SplitError::Protocol("server thread produced no result".into()))?;
     platforms_back.sort_by_key(|(p, _)| p.id());
-
-    // Final evaluation: each platform's L1 composed with the server.
-    let mut total_acc = 0.0;
-    for (platform, _) in &mut platforms_back {
-        let idx: Vec<usize> = (0..test.len()).collect();
-        let (features, labels) = test.batch(&idx)?;
-        let acts = platform.infer_l1(&features)?;
-        let logits = server.infer(&acts)?;
-        total_acc += accuracy(&logits, &labels)?;
-    }
-    let final_accuracy = total_acc / platforms_back.len() as f32;
+    let (mut platforms, losses): (Vec<Platform>, Vec<Vec<f32>>) = platforms_back.into_iter().unzip();
 
     let snap = transport.stats().snapshot();
-    let records: Vec<RoundRecord> = (0..config.rounds)
-        .map(|round| {
-            let mean_loss = platforms_back.iter().map(|(_, l)| l[round]).sum::<f32>() / k as f32;
-            RoundRecord {
-                round,
-                lr: config.lr.lr_at(round),
-                mean_loss,
-                cumulative_bytes: snap.total_bytes * (round as u64 + 1) / config.rounds.max(1) as u64,
-                simulated_time_s: snap.makespan_s * (round as f64 + 1.0) / config.rounds.max(1) as f64,
-                // Rounds are not observable from inside the node threads
-                // (see module docs), so wall time is amortised evenly too.
-                wall_time_s: train_wall_s / config.rounds.max(1) as f64,
-                participants: k,
-                degraded: false,
-                accuracy: if round + 1 == config.rounds {
-                    Some(final_accuracy)
-                } else {
-                    None
-                },
-            }
+    let rounds = config.rounds;
+    let records: Vec<RoundRecord> = (0..rounds)
+        .map(|round| RoundRecord {
+            round,
+            lr: config.lr.lr_at(round),
+            mean_loss: losses.iter().map(|l| l[round]).sum::<f32>() / k as f32,
+            cumulative_bytes: snap.total_bytes * (round as u64 + 1) / rounds as u64,
+            simulated_time_s: snap.makespan_s * (round as f64 + 1.0) / rounds as f64,
+            // Rounds are not observable from inside the node threads
+            // (see module docs), so wall time is amortised evenly too.
+            wall_time_s: train_wall_s / rounds as f64,
+            participants: k,
+            degraded: false,
+            accuracy: None,
         })
         .collect();
-
-    Ok(TrainingHistory {
-        method: "split_threaded".into(),
-        records,
-        final_accuracy,
-        stats: snap,
+    // Only the final accuracy is measured: the engine's fallback
+    // evaluates after the last round.
+    history(Driver::Threaded, records, snap, || {
+        evaluate(&mut platforms, &mut server, &test, |_| false)
     })
 }
 
@@ -197,7 +157,6 @@ pub fn train_threaded<T: Transport>(
 mod tests {
     use super::*;
     use crate::config::SplitConfig;
-    use crate::trainer::SplitTrainer;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
     use medsplit_simnet::{MemoryTransport, StarTopology};
@@ -238,49 +197,5 @@ mod tests {
             history.final_accuracy
         );
         assert_eq!(history.records.len(), 40);
-    }
-
-    #[test]
-    fn threaded_matches_sequential_bytes_exactly() {
-        let (shards, test) = data(2);
-        let t1 = MemoryTransport::new(StarTopology::new(2));
-        let h1 = train_threaded(&arch(), config(10), shards.clone(), test.clone(), &t1).unwrap();
-
-        let t2 = MemoryTransport::new(StarTopology::new(2));
-        let mut seq = SplitTrainer::new(&arch(), config(10), shards, test, &t2).unwrap();
-        let h2 = seq.run().unwrap();
-
-        assert_eq!(h1.stats.total_bytes, h2.stats.total_bytes);
-        assert_eq!(h1.stats.messages, h2.stats.messages);
-        // Learned function identical: same final accuracy.
-        assert!((h1.final_accuracy - h2.final_accuracy).abs() < 1e-6);
-        // Same per-round losses (determinism across drivers).
-        for (a, b) in h1.records.iter().zip(&h2.records) {
-            assert!(
-                (a.mean_loss - b.mean_loss).abs() < 1e-6,
-                "round {} loss {} vs {}",
-                a.round,
-                a.mean_loss,
-                b.mean_loss
-            );
-        }
-    }
-
-    #[test]
-    fn unsupported_modes_rejected() {
-        let (shards, test) = data(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(2);
-        cfg.scheduling = Scheduling::RoundRobin;
-        assert!(matches!(
-            train_threaded(&arch(), cfg, shards.clone(), test.clone(), &transport),
-            Err(SplitError::Config(_))
-        ));
-        let mut cfg2 = config(2);
-        cfg2.l1_sync = L1Sync::PeriodicAverage { every: 1 };
-        assert!(matches!(
-            train_threaded(&arch(), cfg2, shards, test, &transport),
-            Err(SplitError::Config(_))
-        ));
     }
 }

@@ -1,4 +1,5 @@
-//! The deterministic (single-threaded) split-learning trainer.
+//! The star: the paper's deterministic (single-threaded) split-learning
+//! trainer.
 //!
 //! Drives the platform and server actors through the paper's four-message
 //! round over a [`Transport`], so every tensor the protocol exchanges is
@@ -7,90 +8,31 @@
 //! running the identical actors.
 
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
-use medsplit_simnet::{Envelope, MessageKind, NodeId, Transport};
-use medsplit_tensor::Tensor;
+use medsplit_nn::Architecture;
+use medsplit_simnet::{Envelope, NodeId, Transport};
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::{Scheduling, SplitConfig};
+use crate::engine::{Driver, Exchange, RoundEngine, Route};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
-use crate::messages::{decode_tensor, tensor_envelope};
 use crate::platform::Platform;
 use crate::server::SplitServer;
-use crate::split::build_split;
 
-/// Orchestrates split-learning training across platform shards.
-pub struct SplitTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    platforms: Vec<Platform>,
-    server: SplitServer,
+/// The star route: every platform talks to the server directly over any
+/// [`Transport`], with no retries.
+///
+/// Send order under [`Scheduling::Aggregate`] is phase-batched: each
+/// protocol step goes out to (or in from) every platform before the next
+/// step starts. Under [`Scheduling::RoundRobin`] the server runs the same
+/// exchange with one platform at a time, in platform order.
+pub struct Star<'t, T> {
     transport: &'t T,
-    test: InMemoryDataset,
-    client_params: usize,
-    server_params: usize,
 }
 
-/// Receives the next queued message for `node`, failing loudly if the
-/// protocol left the queue empty.
-fn expect_msg<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
-    transport
-        .try_recv(node)
-        .ok_or_else(|| SplitError::Protocol(format!("no message queued for {node}")))
-}
+/// Orchestrates split-learning training across platform shards: the
+/// [`RoundEngine`] over a [`Star`].
+pub type SplitTrainer<'t, T> = RoundEngine<Star<'t, T>>;
 
-/// Builds the protocol actors from a configuration: identical `L1`
-/// replicas paired with their shards, and the server suffix. Returns
-/// `(platforms, server, client_params, server_params)`.
-pub(crate) fn build_actors(
-    arch: &Architecture,
-    config: &SplitConfig,
-    shards: Vec<InMemoryDataset>,
-) -> Result<(Vec<Platform>, SplitServer, usize, usize)> {
-    if shards.is_empty() {
-        return Err(SplitError::Config(
-            "at least one platform shard is required".into(),
-        ));
-    }
-    if shards.iter().any(InMemoryDataset::is_empty) {
-        return Err(SplitError::Config("platform shards must be non-empty".into()));
-    }
-    let split = build_split(arch, config.split, config.seed, shards.len())?;
-    let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-    let batches = config.minibatch.sizes(&sizes);
-    let total_batch: usize = batches.iter().sum();
-    let platforms: Vec<Platform> = split
-        .clients
-        .into_iter()
-        .zip(shards)
-        .zip(&batches)
-        .enumerate()
-        .map(|(id, ((model, data), &batch))| {
-            let mut p = Platform::new(id, model, data, batch, config.momentum, config.seed);
-            // Under aggregate scheduling the server takes one step on the
-            // union batch, so each platform re-weights its locally
-            // normalised gradient by its batch share.
-            if config.scheduling == Scheduling::Aggregate {
-                p.set_grad_scale(batch as f32 / total_batch as f32);
-            }
-            p.set_codec(config.codec);
-            if config.activation_noise > 0.0 {
-                p.set_activation_noise(config.activation_noise);
-            }
-            if config.optimizer != crate::config::OptimizerKind::Sgd {
-                p.set_optimizer(config.optimizer.build(config.momentum));
-            }
-            p
-        })
-        .collect();
-    let mut server = SplitServer::new(split.server, config.momentum);
-    server.set_codec(config.codec);
-    if config.optimizer != crate::config::OptimizerKind::Sgd {
-        server.set_optimizer(config.optimizer.build(config.momentum));
-    }
-    Ok((platforms, server, split.client_params, split.server_params))
-}
-
-impl<'t, T: Transport> SplitTrainer<'t, T> {
+impl<'t, T: Transport> RoundEngine<Star<'t, T>> {
     /// Builds the trainer: identical `L1` replicas for each shard, the
     /// server suffix, and per-platform minibatch sizes from the
     /// configured policy.
@@ -106,266 +48,109 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
         test: InMemoryDataset,
         transport: &'t T,
     ) -> Result<Self> {
-        config.validate().map_err(SplitError::Config)?;
-        if transport.stats().snapshot().messages > 0 {
-            return Err(SplitError::Config(
-                "transport has already been used; accounting would be polluted".into(),
-            ));
-        }
-        let (platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
-        Ok(SplitTrainer {
+        Self::assemble(arch, config, shards, test, Star { transport }, Driver::Star, None)
+    }
+
+    /// The U-shaped variant: each platform also keeps the final
+    /// `tail_layers` layers (see [`crate::UShapeTrainer`]).
+    pub(crate) fn new_ushape(
+        arch: &Architecture,
+        config: SplitConfig,
+        tail_layers: usize,
+        shards: Vec<InMemoryDataset>,
+        test: InMemoryDataset,
+        transport: &'t T,
+    ) -> Result<Self> {
+        let route = Star { transport };
+        Self::assemble(
+            arch,
             config,
-            platforms,
-            server,
-            transport,
+            shards,
             test,
-            client_params,
-            server_params,
-        })
+            route,
+            Driver::UShape,
+            Some(tail_layers),
+        )
+    }
+}
+
+impl<T: Transport> Star<'_, T> {
+    /// Receives the next queued message for `node`, failing loudly if
+    /// the protocol left the queue empty.
+    fn expect(&self, node: NodeId) -> Result<Envelope> {
+        self.transport
+            .try_recv(node)
+            .ok_or_else(|| SplitError::Protocol(format!("no message queued for {node}")))
+    }
+}
+
+impl<T: Transport> Route for Star<'_, T> {
+    fn transport(&self) -> &dyn Transport {
+        self.transport
     }
 
-    /// The platform actors (for inspection and privacy probes).
-    pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.platforms
-    }
-
-    /// The server actor.
-    pub fn server_mut(&mut self) -> &mut SplitServer {
-        &mut self.server
-    }
-
-    /// Evaluates the deployed model of every platform (its own `L1`
-    /// composed with the shared server layers) on the test set and
-    /// returns the mean accuracy.
-    ///
-    /// Evaluation happens out-of-band (no protocol traffic): it measures
-    /// model quality, not communication.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        let _span = medsplit_telemetry::span("evaluate");
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        for platform in &mut self.platforms {
-            let mut correct_weighted = 0.0;
-            let mut seen = 0usize;
-            let n = self.test.len();
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (features, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_l1(&features)?;
-                let logits = self.server.infer(&acts)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                seen += count;
-                start += count;
-            }
-            total += correct_weighted / seen.max(1) as f32;
-        }
-        Ok(total / self.platforms.len() as f32)
-    }
-
-    /// Runs the configured number of rounds and returns the history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol, tensor and transport errors.
-    pub fn run(&mut self) -> Result<TrainingHistory> {
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let mut round_span = medsplit_telemetry::span_round("round", round as u64);
-            let round_start = std::time::Instant::now();
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            let mean_loss = self.run_round(round as u64)?;
-            self.charge_compute();
-            if self.config.sync_due(round) {
-                self.sync_l1(round as u64)?;
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.transport.stats().snapshot();
-            round_span.set_sim_s(snap.makespan_s);
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants: self.platforms.len(),
-                degraded: false,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
+    fn exchange(
+        &mut self,
+        round: u64,
+        config: &SplitConfig,
+        platforms: &mut [Platform],
+        server: &mut SplitServer,
+    ) -> Result<Exchange> {
+        let k = platforms.len();
+        let t = self.transport;
+        // Aggregate scheduling runs every platform as one group;
+        // round-robin runs one group per platform, in platform order.
+        let group = match config.scheduling {
+            Scheduling::Aggregate => k,
+            Scheduling::RoundRobin => 1,
         };
-        Ok(TrainingHistory {
-            method: "split".into(),
-            records,
-            final_accuracy,
-            stats: self.transport.stats().snapshot(),
-        })
-    }
-
-    /// One four-message protocol round; returns the mean platform loss.
-    fn run_round(&mut self, round: u64) -> Result<f32> {
-        let k = self.platforms.len();
         let mut losses = Vec::with_capacity(k);
-        match self.config.scheduling {
-            Scheduling::Aggregate => {
-                // Step 1: every platform forwards L1 and transmits
-                // activations.
-                for p in &mut self.platforms {
-                    let env = p.start_round(round)?;
-                    self.transport.send(env)?;
-                }
-                // Step 2: server concatenates all platform batches, one forward.
-                let acts: Vec<Envelope> = (0..k)
-                    .map(|_| expect_msg(self.transport, NodeId::Server))
-                    .collect::<Result<_>>()?;
-                for env in self.server.aggregate_forward(&acts)? {
-                    self.transport.send(env)?;
-                }
-                // Step 3: platforms compute local losses, transmit gradients.
-                for p in &mut self.platforms {
-                    let env = expect_msg(self.transport, p.node())?;
-                    let (grads, loss) = p.handle_logits(&env)?;
-                    losses.push(loss);
-                    self.transport.send(grads)?;
-                }
-                // Step 4: server backward + update, cut gradients back.
-                let grads: Vec<Envelope> = (0..k)
-                    .map(|_| expect_msg(self.transport, NodeId::Server))
-                    .collect::<Result<_>>()?;
-                for env in self.server.aggregate_backward(&grads)? {
-                    self.transport.send(env)?;
-                }
-                // Step 5: platforms backpropagate L1.
-                for p in &mut self.platforms {
-                    let env = expect_msg(self.transport, p.node())?;
-                    p.handle_cut_grads(&env)?;
-                }
+        for group in platforms.chunks_mut(group) {
+            // Step 1: every platform forwards L1 and transmits activations.
+            for p in group.iter_mut() {
+                t.send(p.start_round(round)?)?;
             }
-            Scheduling::RoundRobin => {
-                // The server exchanges with one platform at a time, in
-                // platform order; each platform transmits its activations
-                // when its turn starts.
-                for p in &mut self.platforms {
-                    let env = p.start_round(round)?;
-                    self.transport.send(env)?;
-                    let acts = expect_msg(self.transport, NodeId::Server)?;
-                    let logits = self.server.platform_forward(&acts)?;
-                    self.transport.send(logits)?;
-                    let env = expect_msg(self.transport, p.node())?;
-                    let (grads, loss) = p.handle_logits(&env)?;
-                    losses.push(loss);
-                    self.transport.send(grads)?;
-                    let genv = expect_msg(self.transport, NodeId::Server)?;
-                    let cut = self.server.platform_backward(&genv)?;
-                    self.transport.send(cut)?;
-                    let cenv = expect_msg(self.transport, p.node())?;
-                    p.handle_cut_grads(&cenv)?;
-                }
+            // Step 2: the server concatenates the group's batches, one
+            // forward.
+            let acts: Vec<Envelope> = group
+                .iter()
+                .map(|_| self.expect(NodeId::Server))
+                .collect::<Result<_>>()?;
+            for env in server.aggregate_forward(&acts)? {
+                t.send(env)?;
+            }
+            // Step 3: platforms compute local losses, transmit gradients.
+            for p in group.iter_mut() {
+                let (grads, loss) = p.handle_logits(&self.expect(p.node())?)?;
+                losses.push(loss);
+                t.send(grads)?;
+            }
+            // Step 4: server backward + update, cut gradients back.
+            let grads: Vec<Envelope> = group
+                .iter()
+                .map(|_| self.expect(NodeId::Server))
+                .collect::<Result<_>>()?;
+            for env in server.aggregate_backward(&grads)? {
+                t.send(env)?;
+            }
+            // Step 5: platforms backpropagate L1.
+            for p in group.iter_mut() {
+                p.handle_cut_grads(&self.expect(p.node())?)?;
             }
         }
-        Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
-    }
-
-    /// Advances the simulated clocks for this round's local computation.
-    fn charge_compute(&mut self) {
-        let compute = self.config.compute;
-        let stats = self.transport.stats();
-        let mut total_batch = 0usize;
-        for p in &self.platforms {
-            let s = compute.seconds(compute.platform_s_per_msample, p.batch_size(), self.client_params);
-            stats.advance_clock(p.node(), s);
-            total_batch += p.batch_size();
-        }
-        let s = compute.seconds(compute.server_s_per_msample, total_batch, self.server_params);
-        stats.advance_clock(NodeId::Server, s);
-    }
-
-    /// Runs the configured `L1` synchronisation (extension strategies).
-    fn sync_l1(&mut self, round: u64) -> Result<()> {
-        let k = self.platforms.len();
-        // Platforms upload their L1 parameters via the server.
-        for p in &mut self.platforms {
-            let params = p.l1_parameters();
-            self.transport.send(tensor_envelope(
-                p.node(),
-                NodeId::Server,
-                round,
-                MessageKind::L1Sync,
-                &params,
-            ))?;
-        }
-        let mut uploads: Vec<(usize, Tensor)> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let env = expect_msg(self.transport, NodeId::Server)?;
-            let pid = crate::messages::sender_platform(&env)?;
-            uploads.push((pid, decode_tensor(&env, MessageKind::L1Sync)?));
-        }
-        uploads.sort_by_key(|(pid, _)| *pid);
-        let outgoing: Vec<(usize, Tensor)> = match self.config.l1_sync {
-            L1Sync::CommonInit => return Ok(()),
-            L1Sync::PeriodicAverage { .. } => {
-                // Weighted by shard size, as FedAvg does.
-                let weights: Vec<f32> = self.platforms.iter().map(|p| p.shard_size() as f32).collect();
-                let total: f32 = weights.iter().sum();
-                let mut avg = Tensor::zeros(uploads[0].1.shape().clone());
-                for ((_, t), w) in uploads.iter().zip(&weights) {
-                    avg.axpy(w / total, t)?;
-                }
-                (0..k).map(|pid| (pid, avg.clone())).collect()
-            }
-            L1Sync::CyclicShare { .. } => {
-                // Platform p adopts the parameters of its ring predecessor.
-                (0..k)
-                    .map(|pid| (pid, uploads[(pid + k - 1) % k].1.clone()))
-                    .collect()
-            }
-        };
-        for (pid, params) in &outgoing {
-            self.transport.send(tensor_envelope(
-                NodeId::Server,
-                NodeId::Platform(*pid),
-                round,
-                MessageKind::L1Sync,
-                params,
-            ))?;
-        }
-        for p in &mut self.platforms {
-            let env = expect_msg(self.transport, p.node())?;
-            let params = decode_tensor(&env, MessageKind::L1Sync)?;
-            p.set_l1_parameters(&params)?;
-        }
-        Ok(())
+        Ok(Exchange::applied(&losses, (0..k).collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::L1Sync;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
+    use medsplit_simnet::MessageKind;
     use medsplit_simnet::{MemoryTransport, StarTopology};
+    use medsplit_tensor::Tensor;
 
     fn arch() -> Architecture {
         Architecture::Mlp(MlpConfig {
@@ -399,61 +184,32 @@ mod tests {
     }
 
     #[test]
-    fn training_improves_accuracy() {
-        let (shards, test) = setup(3);
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(60, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
-        let before = trainer.evaluate().unwrap();
-        let history = trainer.run().unwrap();
-        assert!(
-            history.final_accuracy > before + 0.2,
-            "accuracy {before} -> {}",
-            history.final_accuracy
-        );
-        assert_eq!(history.records.len(), 60);
-        assert!(history.stats.total_bytes > 0);
+    fn both_schedulings_learn() {
+        for (scheduling, platforms) in [(Scheduling::Aggregate, 3), (Scheduling::RoundRobin, 2)] {
+            let (shards, test) = setup(platforms);
+            let transport = MemoryTransport::new(StarTopology::new(platforms));
+            let cfg = config(60, scheduling);
+            let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
+            let before = trainer.evaluate().unwrap();
+            let history = trainer.run().unwrap();
+            let after = history.final_accuracy;
+            assert!(
+                after > before + 0.2 && after > 0.6,
+                "{scheduling:?}: {before} -> {after}"
+            );
+            assert_eq!(history.records.len(), 60);
+        }
     }
 
     #[test]
-    fn round_robin_also_learns() {
+    fn a_round_is_four_messages_of_smashed_data() {
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(60, Scheduling::RoundRobin),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
-        assert!(
-            history.final_accuracy > 0.6,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
-    fn four_message_kinds_and_counts() {
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(5, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
+        let cfg = config(5, Scheduling::Aggregate);
+        let history = SplitTrainer::new(&arch(), cfg, shards, test, &transport)
+            .unwrap()
+            .run()
+            .unwrap();
         // 4 messages per platform per round, nothing else.
         assert_eq!(history.stats.messages, 4 * 2 * 5);
         for kind in [
@@ -462,97 +218,42 @@ mod tests {
             MessageKind::LogitGrads,
             MessageKind::CutGrads,
         ] {
-            assert!(history.stats.bytes_of(kind) > 0, "{kind} missing");
+            assert_eq!(history.stats.messages_of(kind), 2 * 5, "{kind}");
         }
-        assert_eq!(history.stats.bytes_of(MessageKind::ModelDown), 0);
-        assert_eq!(history.stats.bytes_of(MessageKind::L1Sync), 0);
-    }
-
-    #[test]
-    fn raw_data_never_crosses_the_wire() {
-        // Privacy invariant: total uplink bytes per round per platform must
-        // be activations+gradients, whose per-sample size is the L1 output,
-        // not the input; and no message kind carries labels.
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(1, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
-        let act_bytes = history.stats.bytes_of(MessageKind::Activations);
-        // 2 platforms × batch 10 × 16 activation floats (+ header/shape).
+        // Privacy invariant: the uplink carries the L1 output, not the
+        // input — 2 platforms × batch 10 × 16 activation floats (+ header
+        // and shape) per round.
         let payload = medsplit_tensor::serialized_len(&medsplit_tensor::Shape::from([10usize, 16]));
-        assert_eq!(act_bytes, 2 * (payload + medsplit_simnet::HEADER_BYTES) as u64);
+        let per_round = 2 * (payload + medsplit_simnet::HEADER_BYTES) as u64;
+        assert_eq!(history.stats.bytes_of(MessageKind::Activations), 5 * per_round);
     }
 
     #[test]
-    fn periodic_average_sync_traffic_counted() {
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(4, Scheduling::Aggregate);
-        cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
-        let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
-        let history = trainer.run().unwrap();
-        assert!(history.stats.bytes_of(MessageKind::L1Sync) > 0);
-        // After the last sync (round 3) both platforms have identical L1.
-        let p0 = trainer.platforms_mut()[0].l1_parameters();
-        let p1 = trainer.platforms_mut()[1].l1_parameters();
-        assert_eq!(p0, p1);
-    }
-
-    #[test]
-    fn cyclic_share_rotates_parameters() {
+    fn l1_sync_strategies_exchange_parameters() {
         let (shards, test) = setup(3);
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let mut cfg = config(1, Scheduling::Aggregate);
-        cfg.l1_sync = L1Sync::CyclicShare { every: 1 };
-        cfg.eval_every = 0;
-        let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
-        // Stamp distinguishable parameters before the round's sync.
-        // (Run the round manually: capture params right before sync by
-        // setting them after construction — instead we just verify the sync
-        // traffic and that all three L1s are a permutation afterwards.)
-        let before: Vec<Tensor> = (0..3)
-            .map(|i| trainer.platforms_mut()[i].l1_parameters())
-            .collect();
-        let _ = before;
-        let history = trainer.run().unwrap();
-        assert!(history.stats.bytes_of(MessageKind::L1Sync) > 0);
-    }
-
-    #[test]
-    fn config_validation() {
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        assert!(matches!(
-            SplitTrainer::new(
-                &arch(),
-                config(1, Scheduling::Aggregate),
-                vec![],
-                test.clone(),
-                &transport
-            ),
-            Err(SplitError::Config(_))
-        ));
-        // Dirty transport rejected.
-        transport
-            .send(Envelope::control(NodeId::Platform(0), NodeId::Server, 0))
-            .unwrap();
-        assert!(matches!(
-            SplitTrainer::new(
-                &arch(),
-                config(1, Scheduling::Aggregate),
-                shards,
-                test,
-                &transport
-            ),
-            Err(SplitError::Config(_))
-        ));
+        let run = |l1_sync: L1Sync| {
+            let transport = MemoryTransport::new(StarTopology::new(3));
+            let mut cfg = config(4, Scheduling::Aggregate);
+            cfg.l1_sync = l1_sync;
+            let mut trainer =
+                SplitTrainer::new(&arch(), cfg, shards.clone(), test.clone(), &transport).unwrap();
+            let history = trainer.run().unwrap();
+            let l1: Vec<Tensor> = trainer
+                .platforms_mut()
+                .iter_mut()
+                .map(|p| p.l1_parameters())
+                .collect();
+            (history, l1)
+        };
+        let (averaged, l1) = run(L1Sync::PeriodicAverage { every: 2 });
+        // Both syncs upload and download every platform's L1.
+        assert_eq!(averaged.stats.messages_of(MessageKind::L1Sync), 2 * 2 * 3);
+        // After the last sync (round 3) every platform has the same L1.
+        assert!(l1.iter().all(|p| p == &l1[0]));
+        let (shared, l1) = run(L1Sync::CyclicShare { every: 2 });
+        assert_eq!(shared.stats.messages_of(MessageKind::L1Sync), 2 * 2 * 3);
+        // Cyclic sharing permutes the replicas instead of merging them.
+        assert!(l1.iter().any(|p| p != &l1[0]));
     }
 
     #[test]
@@ -573,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn f16_codec_halves_tensor_traffic_and_still_learns() {
+    fn compressed_codecs_shrink_tensor_traffic_and_still_learn() {
         use crate::config::WireCodec;
         let (shards, test) = setup(2);
         let run = |codec: WireCodec| {
@@ -585,50 +286,22 @@ mod tests {
             trainer.run().unwrap()
         };
         let exact = run(WireCodec::F32);
-        let half = run(WireCodec::F16);
-        // Payload bytes halve; headers (64 + shape) stay, so the total is a
-        // bit more than half.
-        assert!(half.stats.total_bytes < exact.stats.total_bytes * 3 / 5);
-        assert!(half.stats.total_bytes > exact.stats.total_bytes * 2 / 5);
-        // Accuracy is essentially unaffected by f16 rounding.
-        assert!(
-            half.final_accuracy > exact.final_accuracy - 0.1,
-            "f16 {} vs f32 {}",
-            half.final_accuracy,
-            exact.final_accuracy
-        );
-    }
-
-    #[test]
-    fn int8_codec_quarters_tensor_traffic_and_still_learns() {
-        use crate::config::WireCodec;
-        let (shards, test) = setup(2);
-        let run = |codec: WireCodec| {
-            let transport = MemoryTransport::new(StarTopology::new(2));
-            let mut cfg = config(40, Scheduling::Aggregate);
-            cfg.codec = codec;
-            let mut trainer =
-                SplitTrainer::new(&arch(), cfg, shards.clone(), test.clone(), &transport).unwrap();
-            trainer.run().unwrap()
-        };
-        let exact = run(WireCodec::F32);
-        let quant = run(WireCodec::Int8);
-        // Payload bytes quarter; headers (64 + shape + scale) stay, so the
-        // total lands between the asymptotic 1/4 and the f16 ratio.
-        assert!(
-            quant.stats.total_bytes < exact.stats.total_bytes / 2,
-            "int8 {} vs f32 {}",
-            quant.stats.total_bytes,
-            exact.stats.total_bytes
-        );
-        assert!(quant.stats.total_bytes > exact.stats.total_bytes / 5);
-        // Per-tensor-scale quantisation keeps the model training.
-        assert!(
-            quant.final_accuracy > exact.final_accuracy - 0.15,
-            "int8 {} vs f32 {}",
-            quant.final_accuracy,
-            exact.final_accuracy
-        );
+        // Payload bytes halve (f16) or quarter (int8); headers (64 +
+        // shape, + scale for int8) stay, so the totals land above the
+        // asymptotic ratios. Accuracy is essentially unaffected.
+        for (codec, below, above, slack) in
+            [(WireCodec::F16, 0.6, 0.4, 0.1), (WireCodec::Int8, 0.5, 0.2, 0.15)]
+        {
+            let lossy = run(codec);
+            let ratio = lossy.stats.total_bytes as f64 / exact.stats.total_bytes as f64;
+            assert!(ratio < below && ratio > above, "{codec:?} byte ratio {ratio}");
+            assert!(
+                lossy.final_accuracy > exact.final_accuracy - slack,
+                "{codec:?} {} vs f32 {}",
+                lossy.final_accuracy,
+                exact.final_accuracy
+            );
+        }
     }
 
     #[test]

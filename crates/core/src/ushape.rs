@@ -19,154 +19,26 @@
 //!   <-- 4. CutGrads -------------------–
 //! head backward + update
 //! ```
+//!
+//! That is the star's round with a different platform: the U-shape is a
+//! [`SplitTrainer`] whose [`Platform`](crate::Platform)s hold tails and
+//! whose server answers with features.
 
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::{accuracy, softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential, Sgd};
-use medsplit_simnet::{Envelope, MessageKind, NodeId, Transport};
-use medsplit_tensor::Tensor;
+use std::ops::{Deref, DerefMut};
 
-use crate::config::{Scheduling, SplitConfig, WireCodec};
-use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
-use crate::messages::{decode_tensor, tensor_envelope_codec};
-use crate::server::SplitServer;
-use crate::split::resolve_split;
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::Architecture;
+use medsplit_simnet::Transport;
 
-/// One platform of the U-shaped protocol: head + tail + private data.
-pub struct UShapePlatform {
-    id: usize,
-    head: Sequential,
-    tail: Sequential,
-    data: InMemoryDataset,
-    sampler: BatchSampler,
-    head_opt: Sgd,
-    tail_opt: Sgd,
-    grad_scale: f32,
-    codec: WireCodec,
-    pending_labels: Option<Vec<usize>>,
-}
+use crate::config::SplitConfig;
+use crate::error::Result;
+use crate::trainer::SplitTrainer;
 
-impl UShapePlatform {
-    fn new(
-        id: usize,
-        head: Sequential,
-        tail: Sequential,
-        data: InMemoryDataset,
-        batch: usize,
-        momentum: f32,
-        seed: u64,
-    ) -> Self {
-        let sampler = BatchSampler::new(
-            data.len(),
-            batch,
-            seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        UShapePlatform {
-            id,
-            head,
-            tail,
-            data,
-            sampler,
-            head_opt: Sgd::new(0.01).with_momentum(momentum),
-            tail_opt: Sgd::new(0.01).with_momentum(momentum),
-            grad_scale: 1.0,
-            codec: WireCodec::F32,
-            pending_labels: None,
-        }
-    }
-
-    /// This platform's node id.
-    pub fn node(&self) -> NodeId {
-        NodeId::Platform(self.id)
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.head_opt.set_learning_rate(lr);
-        self.tail_opt.set_learning_rate(lr);
-    }
-
-    /// Step 1: head forward, transmit activations.
-    fn start_round(&mut self, round: u64) -> Result<Envelope> {
-        let (features, labels) = self.sampler.next_from(&self.data);
-        let acts = self.head.forward(&features, Mode::Train)?;
-        self.pending_labels = Some(labels);
-        Ok(tensor_envelope_codec(
-            self.node(),
-            NodeId::Server,
-            round,
-            MessageKind::Activations,
-            &acts,
-            self.codec,
-        ))
-    }
-
-    /// Step 3: tail forward on the received features, local loss, tail
-    /// backward + update; transmit the gradients w.r.t. the features.
-    fn handle_features(&mut self, env: &Envelope) -> Result<(Envelope, f32)> {
-        let features = decode_tensor(env, MessageKind::Features)?;
-        let labels = self.pending_labels.as_ref().ok_or_else(|| {
-            SplitError::Protocol(format!(
-                "platform {} got features with no round in flight",
-                self.id
-            ))
-        })?;
-        let logits = self.tail.forward(&features, Mode::Train)?;
-        let out = softmax_cross_entropy(&logits, labels)?;
-        let logit_grad = if self.grad_scale == 1.0 {
-            out.grad
-        } else {
-            out.grad.scale(self.grad_scale)
-        };
-        let feature_grad = self.tail.backward(&logit_grad)?;
-        self.tail_opt.step_and_zero(&mut self.tail);
-        Ok((
-            tensor_envelope_codec(
-                self.node(),
-                NodeId::Server,
-                env.round,
-                MessageKind::FeatureGrads,
-                &feature_grad,
-                self.codec,
-            ),
-            out.loss,
-        ))
-    }
-
-    /// Step 5: head backward on the cut gradients + update.
-    fn handle_cut_grads(&mut self, env: &Envelope) -> Result<()> {
-        let grads = decode_tensor(env, MessageKind::CutGrads)?;
-        if self.pending_labels.take().is_none() {
-            return Err(SplitError::Protocol(format!(
-                "platform {} got cut grads with no round in flight",
-                self.id
-            )));
-        }
-        self.head.backward(&grads)?;
-        self.head_opt.step_and_zero(&mut self.head);
-        Ok(())
-    }
-
-    /// Inference through the platform-side parts composed with provided
-    /// middle features (used by evaluation).
-    fn infer_tail(&mut self, features: &Tensor) -> Result<Tensor> {
-        Ok(self.tail.forward(features, Mode::Eval)?)
-    }
-
-    fn infer_head(&mut self, inputs: &Tensor) -> Result<Tensor> {
-        Ok(self.head.forward(inputs, Mode::Eval)?)
-    }
-}
-
-/// The U-shaped trainer: like
-/// [`SplitTrainer`](crate::trainer::SplitTrainer) with the classifier head
+/// The U-shaped trainer: a [`SplitTrainer`] with the classifier head
 /// kept platform-side. `tail_layers` final layers stay on each platform.
-pub struct UShapeTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    platforms: Vec<UShapePlatform>,
-    server: SplitServer,
-    transport: &'t T,
-    test: InMemoryDataset,
-}
+/// Everything but construction is the [`SplitTrainer`]'s, reached
+/// through `Deref`.
+pub struct UShapeTrainer<'t, T>(SplitTrainer<'t, T>);
 
 impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// Builds the U-shaped trainer.
@@ -177,8 +49,8 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors if the cuts overlap or shards are
-    /// unusable.
+    /// Returns configuration errors for invalid configs, round-robin
+    /// scheduling, a used transport, overlapping cuts or unusable shards.
     pub fn new(
         arch: &Architecture,
         config: SplitConfig,
@@ -187,183 +59,31 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
         test: InMemoryDataset,
         transport: &'t T,
     ) -> Result<Self> {
-        if shards.is_empty() {
-            return Err(SplitError::Config(
-                "at least one platform shard is required".into(),
-            ));
-        }
-        if shards.iter().any(InMemoryDataset::is_empty) {
-            return Err(SplitError::Config("platform shards must be non-empty".into()));
-        }
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "the U-shaped trainer implements Aggregate scheduling".into(),
-            ));
-        }
-        let head_split = resolve_split(arch, config.split)?;
-        let total_layers = arch.build(0).len();
-        if head_split + tail_layers >= total_layers {
-            return Err(SplitError::Config(format!(
-                "head ({head_split}) + tail ({tail_layers}) leave no middle layers (model has {total_layers})"
-            )));
-        }
-        let tail_split = total_layers - tail_layers;
-
-        let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-        let batches = config.minibatch.sizes(&sizes);
-        let total_batch: usize = batches.iter().sum();
-
-        let mut platforms = Vec::with_capacity(shards.len());
-        for (id, (data, &batch)) in shards.into_iter().zip(&batches).enumerate() {
-            let mut full = arch.build(config.seed);
-            let tail = full.split_off(tail_split);
-            let _middle = full.split_off(head_split);
-            let head = full;
-            let mut p = UShapePlatform::new(id, head, tail, data, batch, config.momentum, config.seed);
-            p.grad_scale = batch as f32 / total_batch as f32;
-            p.codec = config.codec;
-            platforms.push(p);
-        }
-        let mut full = arch.build(config.seed);
-        let _tail = full.split_off(tail_split);
-        let middle = full.split_off(head_split);
-        let mut server = SplitServer::new_u_shaped(middle, config.momentum);
-        server.set_codec(config.codec);
-        Ok(UShapeTrainer {
-            config,
-            platforms,
-            server,
-            transport,
-            test,
-        })
+        SplitTrainer::new_ushape(arch, config, tail_layers, shards, test, transport).map(UShapeTrainer)
     }
+}
 
-    /// Mean accuracy of each platform's composed model (head + middle +
-    /// tail) on the test set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        for platform in &mut self.platforms {
-            let n = self.test.len();
-            let mut correct_weighted = 0.0;
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (inputs, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_head(&inputs)?;
-                let feats = self.server.infer(&acts)?;
-                let logits = platform.infer_tail(&feats)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                start += count;
-            }
-            total += correct_weighted / n.max(1) as f32;
-        }
-        Ok(total / self.platforms.len() as f32)
+impl<'t, T> Deref for UShapeTrainer<'t, T> {
+    type Target = SplitTrainer<'t, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
+}
 
-    /// Runs the configured number of rounds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol, tensor and transport errors.
-    pub fn run(&mut self) -> Result<TrainingHistory> {
-        let k = self.platforms.len();
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let round_start = std::time::Instant::now();
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            for p in &mut self.platforms {
-                let env = p.start_round(round as u64)?;
-                self.transport.send(env)?;
-            }
-            let acts: Vec<Envelope> = (0..k)
-                .map(|_| {
-                    self.transport
-                        .try_recv(NodeId::Server)
-                        .ok_or_else(|| SplitError::Protocol("missing activations".into()))
-                })
-                .collect::<Result<_>>()?;
-            for env in self.server.aggregate_forward(&acts)? {
-                self.transport.send(env)?;
-            }
-            let mut losses = Vec::with_capacity(k);
-            for p in &mut self.platforms {
-                let env = self
-                    .transport
-                    .try_recv(p.node())
-                    .ok_or_else(|| SplitError::Protocol("missing features".into()))?;
-                let (grads, loss) = p.handle_features(&env)?;
-                losses.push(loss);
-                self.transport.send(grads)?;
-            }
-            let grads: Vec<Envelope> = (0..k)
-                .map(|_| {
-                    self.transport
-                        .try_recv(NodeId::Server)
-                        .ok_or_else(|| SplitError::Protocol("missing feature grads".into()))
-                })
-                .collect::<Result<_>>()?;
-            for env in self.server.aggregate_backward(&grads)? {
-                self.transport.send(env)?;
-            }
-            for p in &mut self.platforms {
-                let env = self
-                    .transport
-                    .try_recv(p.node())
-                    .ok_or_else(|| SplitError::Protocol("missing cut grads".into()))?;
-                p.handle_cut_grads(&env)?;
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.transport.stats().snapshot();
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss: losses.iter().sum::<f32>() / losses.len().max(1) as f32,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants: losses.len(),
-                degraded: false,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
-        Ok(TrainingHistory {
-            method: "split_ushape".into(),
-            records,
-            final_accuracy,
-            stats: self.transport.stats().snapshot(),
-        })
+impl<T> DerefMut for UShapeTrainer<'_, T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::SplitTrainer;
+    use crate::SplitError;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
+    use medsplit_simnet::MessageKind;
     use medsplit_simnet::{MemoryTransport, StarTopology};
 
     fn arch() -> Architecture {
@@ -422,35 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_tail_matches_standard_split_learning_curve() {
-        // tail_layers = 0 is the standard protocol with re-tagged
-        // messages: identical losses round by round.
-        let (shards, test) = data();
-        let t1 = MemoryTransport::new(StarTopology::new(2));
-        let mut u = UShapeTrainer::new(&arch(), config(8), 0, shards.clone(), test.clone(), &t1).unwrap();
-        let hu = u.run().unwrap();
-
-        let t2 = MemoryTransport::new(StarTopology::new(2));
-        let mut s = SplitTrainer::new(&arch(), config(8), shards, test, &t2).unwrap();
-        let hs = s.run().unwrap();
-
-        for (a, b) in hu.records.iter().zip(&hs.records) {
-            assert!(
-                (a.mean_loss - b.mean_loss).abs() < 1e-6,
-                "round {}: {} vs {}",
-                a.round,
-                a.mean_loss,
-                b.mean_loss
-            );
-        }
-        assert!((hu.final_accuracy - hs.final_accuracy).abs() < 1e-6);
-        assert_eq!(
-            hu.stats.total_bytes, hs.stats.total_bytes,
-            "same tensor sizes, same bytes"
-        );
-    }
-
-    #[test]
     fn overlapping_cuts_rejected() {
         let (shards, test) = data();
         let transport = MemoryTransport::new(StarTopology::new(2));
@@ -461,18 +152,6 @@ mod tests {
         ));
         assert!(matches!(
             UShapeTrainer::new(&arch(), config(1), 99, shards, test, &transport),
-            Err(SplitError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn round_robin_unsupported() {
-        let (shards, test) = data();
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(1);
-        cfg.scheduling = Scheduling::RoundRobin;
-        assert!(matches!(
-            UShapeTrainer::new(&arch(), cfg, 1, shards, test, &transport),
             Err(SplitError::Config(_))
         ));
     }

@@ -145,3 +145,75 @@ fn per_platform_override_slows_only_that_spoke() {
     let server_clock = transport.stats().clock(NodeId::Server);
     assert!(server_clock > 1.0, "slow spoke must dominate: {server_clock}");
 }
+
+/// The U-shape validates its configuration and transport like every
+/// other driver: zero rounds and a transport that already carried
+/// traffic are configuration errors, not silent runs.
+#[test]
+fn ushape_rejects_zero_rounds_and_a_used_transport() {
+    use medsplit::core::SplitError;
+    use medsplit::simnet::Envelope;
+
+    let (shards, test) = data();
+    let transport = MemoryTransport::new(StarTopology::new(2));
+    assert!(matches!(
+        UShapeTrainer::new(&arch(), config(0), 1, shards.clone(), test.clone(), &transport),
+        Err(SplitError::Config(_))
+    ));
+    transport
+        .send(Envelope::control(NodeId::Platform(0), NodeId::Server, 0))
+        .unwrap();
+    assert!(matches!(
+        UShapeTrainer::new(&arch(), config(2), 1, shards, test, &transport),
+        Err(SplitError::Config(_))
+    ));
+}
+
+/// A U-shape with no tail is the star with relabelled messages, compute
+/// charge included: losses, accuracy, byte and message totals and the
+/// simulated makespan match the star's to the bit.
+#[test]
+fn ushape_without_a_tail_equals_the_star_with_compute_charged() {
+    let (shards, test) = data();
+    let cfg = SplitConfig {
+        eval_every: 4,
+        compute: medsplit::core::ComputeModel::hospital_default(),
+        ..config(10)
+    };
+    let t1 = MemoryTransport::new(StarTopology::new(2));
+    let mut u = UShapeTrainer::new(&arch(), cfg.clone(), 0, shards.clone(), test.clone(), &t1).unwrap();
+    let hu = u.run().unwrap();
+    let t2 = MemoryTransport::new(StarTopology::new(2));
+    let mut s = SplitTrainer::new(&arch(), cfg, shards, test, &t2).unwrap();
+    let hs = s.run().unwrap();
+
+    assert_eq!(hu.method, "split_ushape");
+    for (a, b) in hu.records.iter().zip(&hs.records) {
+        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "round {}", a.round);
+        assert_eq!(
+            a.accuracy.map(f32::to_bits),
+            b.accuracy.map(f32::to_bits),
+            "round {}",
+            a.round
+        );
+        assert_eq!(
+            a.simulated_time_s.to_bits(),
+            b.simulated_time_s.to_bits(),
+            "round {}",
+            a.round
+        );
+    }
+    assert_eq!(hu.final_accuracy.to_bits(), hs.final_accuracy.to_bits());
+    assert_eq!(hu.stats.total_bytes, hs.stats.total_bytes);
+    assert_eq!(hu.stats.logical_bytes, hs.stats.logical_bytes);
+    assert_eq!(hu.stats.messages, hs.stats.messages);
+    assert_eq!(hu.stats.uplink_bytes, hs.stats.uplink_bytes);
+    assert_eq!(hu.stats.downlink_bytes, hs.stats.downlink_bytes);
+    assert!(hs.stats.makespan_s > 0.0);
+    assert_eq!(hu.stats.makespan_s.to_bits(), hs.stats.makespan_s.to_bits());
+    // Only the kinds differ: features travel where logits would.
+    assert_eq!(
+        hu.stats.bytes_of(MessageKind::Features),
+        hs.stats.bytes_of(MessageKind::Logits)
+    );
+}

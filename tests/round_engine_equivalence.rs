@@ -26,8 +26,8 @@ use medsplit::simnet::{
 
 const ROUNDS: usize = 12;
 
-/// The pinned digests, one per case, recorded before the drivers were
-/// folded into one round engine.
+/// The pinned digests, one per case, all recorded on the five separate
+/// drivers before they were folded into one round engine.
 const GOLDEN: &[(&str, u64)] = &[
     ("star_aggregate", 0xd81cb65dbb998471),
     ("star_round_robin", 0xae8d889160e25717),
@@ -42,6 +42,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("reliable_drop", 0x2ecfa4ed1a3605fc),
     ("reliable_dup_reorder", 0x9fbf4973ca8aaf18),
     ("reliable_corrupt", 0x2d65f6b6ccdcf446),
+    ("reliable_dup_reorder_corrupt", 0xf878823b0c96499f),
     ("reliable_crash_recover", 0x51f3a609f544fc8b),
     ("reliable_straggler", 0x7e24e6ec0968a828),
     ("reliable_quorum_failure", 0xc8c92b6cb672b135),
@@ -51,6 +52,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("relay_partition", 0x8af072dc8d183249),
     ("relay_region_quorum", 0x9295891f5bb6b6f2),
     ("relay_drop_corrupt", 0xa69f820731839abb),
+    ("relay_mixed_paths", 0xfacf57879eb68116),
     ("ushape_tail0", 0x94795fe4c806f6f0),
     ("ushape_tail1", 0xd229efd58fdf4614),
     ("threaded", 0x0449d419f8f4b5cf),
@@ -289,6 +291,19 @@ fn cases() -> Vec<(&'static str, u64)> {
             reliable_star(config(), FaultPlan::new(9).with_corrupt(0.1), 4),
         ),
         (
+            // Duplicates, held-back copies and corrupt copies left in an
+            // inbox: pins how much of it each delivery drains.
+            "reliable_dup_reorder_corrupt",
+            reliable_star(
+                config(),
+                FaultPlan::new(3)
+                    .with_dup(0.3)
+                    .with_reorder(0.3)
+                    .with_corrupt(0.1),
+                4,
+            ),
+        ),
+        (
             "reliable_crash_recover",
             reliable_star(
                 config(),
@@ -369,6 +384,24 @@ fn cases() -> Vec<(&'static str, u64)> {
             "relay_drop_corrupt",
             relay_tree(
                 |_| FaultPlan::new(9).with_drop(0.08).with_corrupt(0.04),
+                2,
+                2,
+                HierPolicy::default(),
+            ),
+        ),
+        (
+            // Relay 0 down and platform 0 cut off from relay 1: platform 0
+            // falls back direct while platform 1 re-homes, so one round
+            // mixes relay and direct paths.
+            "relay_mixed_paths",
+            relay_tree(
+                |_| {
+                    FaultPlan::new(12)
+                        .with_drop(0.2)
+                        .crash_relay(0, 2)
+                        .recover_relay(0, 6)
+                        .flap(NodeId::Platform(0), NodeId::Relay(1), 2, 6)
+                },
                 2,
                 2,
                 HierPolicy::default(),

@@ -61,3 +61,40 @@ fn threaded_runtime_scales_to_many_platforms() {
     assert_eq!(history.stats.messages, 8 * 4 * 3);
     assert!(history.final_accuracy.is_finite());
 }
+
+/// The threaded runtime scores with the same evaluation as every other
+/// driver — the test set in chunks of 64 — so above one chunk its final
+/// accuracy still equals the deterministic driver's to the bit.
+#[test]
+fn threaded_final_accuracy_equals_sequential_above_one_eval_chunk() {
+    use medsplit::data::SyntheticTabular;
+    use medsplit::nn::MlpConfig;
+
+    let all = SyntheticTabular::new(4, 8, 5).generate(420).unwrap();
+    let train = all.subset(&(0..240).collect::<Vec<_>>()).unwrap();
+    let test = all.subset(&(240..420).collect::<Vec<_>>()).unwrap();
+    assert!(test.len() > 64);
+    let shards = partition(&train, 3, &Partition::Iid, 4).unwrap();
+    let arch = Architecture::Mlp(MlpConfig {
+        input_dim: 8,
+        hidden: vec![16],
+        num_classes: 4,
+    });
+
+    let t1 = MemoryTransport::new(StarTopology::new(3));
+    let threaded = train_threaded(&arch, config(8), shards.clone(), test.clone(), &t1).unwrap();
+    let t2 = MemoryTransport::new(StarTopology::new(3));
+    let sequential = SplitTrainer::new(&arch, config(8), shards, test, &t2)
+        .unwrap()
+        .run()
+        .unwrap();
+
+    assert_eq!(
+        threaded.final_accuracy.to_bits(),
+        sequential.final_accuracy.to_bits()
+    );
+    assert_eq!(threaded.stats, sequential.stats);
+    for (a, b) in threaded.records.iter().zip(&sequential.records) {
+        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "round {}", a.round);
+    }
+}

@@ -55,21 +55,24 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #
 # `lab ci` additionally executes every manifest twice and fails unless
 # the metrics digests are bit-identical — the determinism witness.
-cargo run -q --release --offline -p medsplit-bench --bin lab -- ci --smoke
+cargo run -q --release --offline -p medsplit-bench -- lab ci --smoke
 
 echo "==> lab gate negative test (a perturbed baseline must fail)"
 # The regression gate is only trustworthy if it actually trips: perturb
 # one byte-count in the committed baseline and assert `lab gate` exits
-# nonzero against it.
+# with 1, the gate-failure code. Any other code (2 is a usage or I/O
+# error) means the gate never judged the run.
 perturbed="$(mktemp)"
 sed 's/total_bytes": 48880/total_bytes": 48881/' baselines/smoke.json > "$perturbed"
 if cmp -s baselines/smoke.json "$perturbed"; then
     echo "ci.sh: perturbation was a no-op — update the sed pattern" >&2
     exit 1
 fi
-if cargo run -q --release --offline -p medsplit-bench --bin lab -- \
-    gate experiments/smoke.lab.toml --baseline "$perturbed" >/dev/null 2>&1; then
-    echo "ci.sh: lab gate passed against a perturbed baseline" >&2
+status=0
+cargo run -q --release --offline -p medsplit-bench -- lab \
+    gate experiments/smoke.lab.toml --baseline "$perturbed" >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ci.sh: lab gate against a perturbed baseline exited $status, expected 1" >&2
     exit 1
 fi
 rm -f "$perturbed"

@@ -39,10 +39,11 @@
 use std::fmt::Write as _;
 
 use crate::report::{arg_present, arg_value, bench_json, bench_json_path, write_result, TextTable};
-use medsplit_core::{HierPolicy, HierResilientTrainer, ResilientTrainer, SplitConfig, WireCodec};
-use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+use crate::workload::{chaos_train, Topology};
+use medsplit_core::{SplitConfig, WireCodec};
+use medsplit_data::MinibatchPolicy;
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
+use medsplit_simnet::FaultPlan;
 use medsplit_tensor::pool;
 
 /// Accuracy band the lossy codecs must stay within of the f32 run on
@@ -108,13 +109,6 @@ impl ModelAxis {
         }
     }
 
-    fn input_dim(self) -> usize {
-        match self {
-            ModelAxis::WideCut => 32,
-            ModelAxis::NarrowCut => 8,
-        }
-    }
-
     fn minibatch(self) -> usize {
         match self {
             ModelAxis::WideCut => 64,
@@ -123,20 +117,11 @@ impl ModelAxis {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TopoAxis {
-    Star4,
-    Hier2x2,
-}
-
-impl TopoAxis {
-    fn name(self) -> &'static str {
-        match self {
-            TopoAxis::Star4 => "star4",
-            TopoAxis::Hier2x2 => "hier2_2",
-        }
-    }
-}
+const STAR4: Topology = Topology::Star(4);
+const HIER2_2: Topology = Topology::Hier {
+    regions: 2,
+    per_region: 2,
+};
 
 const CODECS: [(WireCodec, &str); 3] = [
     (WireCodec::F32, "f32"),
@@ -148,7 +133,7 @@ const CODECS: [(WireCodec, &str); 3] = [
 struct Point {
     codec: &'static str,
     model: ModelAxis,
-    topo: TopoAxis,
+    topo: Topology,
     rounds: u64,
     accuracy: f32,
     wire_bytes: u64,
@@ -178,21 +163,10 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 fn run_once(
     codec: WireCodec,
     model: ModelAxis,
-    topo: TopoAxis,
+    topo: Topology,
     rounds: usize,
     seed: u64,
 ) -> Result<(f32, u64, u64, u64, u64, u64), String> {
-    let platforms = 4usize;
-    // Enough samples for one full minibatch per platform per round.
-    let samples = platforms * model.minibatch();
-    let train = SyntheticTabular::new(3, model.input_dim(), seed)
-        .generate(samples)
-        .map_err(|e| format!("train data: {e}"))?;
-    let test = SyntheticTabular::new(3, model.input_dim(), seed + 1)
-        .generate((samples / 4).max(8))
-        .map_err(|e| format!("test data: {e}"))?;
-    let shards = partition(&train, platforms, &Partition::Iid, seed).map_err(|e| format!("shards: {e}"))?;
-
     let config = SplitConfig {
         rounds,
         eval_every: rounds,
@@ -202,25 +176,17 @@ fn run_once(
         codec,
         ..SplitConfig::default()
     };
-    let arch = model.architecture();
-    let plan = FaultPlan::new(seed);
-
-    let history = match topo {
-        TopoAxis::Star4 => {
-            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(platforms)), plan);
-            let mut trainer = ResilientTrainer::new(&arch, config, shards, test, &chaos)
-                .map_err(|e| format!("trainer: {e}"))?;
-            trainer.run().map_err(|e| format!("training: {e}"))?
-        }
-        TopoAxis::Hier2x2 => {
-            let hier = HierTopology::new(2, 2);
-            let chaos = ChaosTransport::new(MemoryTransport::new(hier.clone()), plan);
-            let mut trainer =
-                HierResilientTrainer::new(&arch, config, HierPolicy::default(), hier, shards, test, &chaos)
-                    .map_err(|e| format!("trainer: {e}"))?;
-            trainer.run().map_err(|e| format!("training: {e}"))?
-        }
-    };
+    // Enough samples for one full minibatch per platform per round.
+    let samples = topo.platforms() * model.minibatch();
+    let history = chaos_train(
+        &model.architecture(),
+        config,
+        topo,
+        FaultPlan::new(seed),
+        samples,
+        seed,
+    )?
+    .history;
 
     let stats = &history.stats;
     let completed = history.records.len() as u64;
@@ -251,7 +217,7 @@ fn measure(
     codec: WireCodec,
     codec_name: &'static str,
     model: ModelAxis,
-    topo: TopoAxis,
+    topo: Topology,
     rounds: usize,
     seed: u64,
 ) -> Result<Point, String> {
@@ -292,7 +258,7 @@ fn assert_frontier(points: &[Point]) {
         // relay envelopes the byte-accounting sniffer deliberately
         // passes through at wire size, so its logical column understates
         // compression — reported for the frontier, not shape-asserted.
-        if p.topo == TopoAxis::Star4 {
+        if p.topo == STAR4 {
             assert_eq!(
                 p.logical_bytes,
                 f32_ref.logical_bytes,
@@ -311,12 +277,12 @@ fn assert_frontier(points: &[Point]) {
         match p.codec {
             // The acceptance bound holds where payloads dominate; the
             // narrow cut is reported for the frontier but not bounded.
-            "int8" if p.model == ModelAxis::WideCut && p.topo == TopoAxis::Star4 => assert!(
+            "int8" if p.model == ModelAxis::WideCut && p.topo == STAR4 => assert!(
                 ratio <= INT8_RATIO_BOUND,
                 "{} wire bytes are {ratio:.4}x the f32 run's, above the {INT8_RATIO_BOUND} bound",
                 p.label()
             ),
-            "f16" if p.model == ModelAxis::WideCut && p.topo == TopoAxis::Star4 => assert!(
+            "f16" if p.model == ModelAxis::WideCut && p.topo == STAR4 => assert!(
                 ratio <= F16_RATIO_BOUND,
                 "{} wire bytes are {ratio:.4}x the f32 run's, above the {F16_RATIO_BOUND} bound",
                 p.label()
@@ -378,13 +344,10 @@ pub fn run(args: &[String]) -> CodecBenchOutcome {
         .unwrap_or(if smoke { 6 } else { 24 });
     pool::set_num_threads(1);
 
-    let (models, topos): (&[ModelAxis], &[TopoAxis]) = if smoke {
-        (&[ModelAxis::WideCut], &[TopoAxis::Star4])
+    let (models, topos): (&[ModelAxis], &[Topology]) = if smoke {
+        (&[ModelAxis::WideCut], &[STAR4])
     } else {
-        (
-            &[ModelAxis::WideCut, ModelAxis::NarrowCut],
-            &[TopoAxis::Star4, TopoAxis::Hier2x2],
-        )
+        (&[ModelAxis::WideCut, ModelAxis::NarrowCut], &[STAR4, HIER2_2])
     };
 
     let mut points = Vec::new();
@@ -436,7 +399,7 @@ pub fn run(args: &[String]) -> CodecBenchOutcome {
         table.row(vec![
             p.codec.to_string(),
             p.model.name().to_string(),
-            p.topo.name().to_string(),
+            p.topo.name(),
             format!("{:.4}", p.accuracy),
             p.wire_bytes.to_string(),
             p.logical_bytes.to_string(),

@@ -10,8 +10,8 @@
 //! Outputs:
 //!   - `fleet_goodput.csv` under the results dir (`MEDSPLIT_RESULTS_DIR`,
 //!     default `bench_results/`),
-//!   - `BENCH_fleet.json` (results dir with `--smoke`, else the current
-//!     directory), wrapped in the shared schema-v2 envelope (host
+//!   - `BENCH_fleet.json` (results dir with `--quick` / `--smoke`, else
+//!     the current directory), wrapped in the shared schema-v2 envelope (host
 //!     fingerprint, lab run id) and recording the dispatched kernel ISA.
 
 use std::fmt::Write as _;
@@ -203,7 +203,7 @@ pub fn run(args: &[String]) -> FleetBenchOutcome {
     println!("{table}");
     let csv_path = write_result("fleet_goodput.csv", &table.to_csv()).expect("write results");
     let json = to_json(&rows, isa);
-    let json_path = bench_json_path("BENCH_fleet.json", smoke);
+    let json_path = bench_json_path("BENCH_fleet.json", quick);
     std::fs::write(&json_path, &json).expect("write BENCH_fleet.json");
     eprintln!(
         "[fleet_bench] wrote {} and {}",

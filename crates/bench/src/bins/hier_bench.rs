@@ -20,12 +20,11 @@
 //! hierarchical run, and a replay from the same seed is bit-identical.
 
 use crate::report::{arg_present, arg_value, ReportWriter, TextTable};
-use medsplit_core::{
-    HierPolicy, HierReport, HierResilientTrainer, ResilientTrainer, SplitConfig, TrainingHistory,
-};
-use medsplit_data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
+use crate::workload::{chaos_train, ChaosRun, Topology};
+use medsplit_core::SplitConfig;
+use medsplit_data::MinibatchPolicy;
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
+use medsplit_simnet::{FaultPlan, HierTopology};
 
 const CSV_HEADER: &str = "topology,scenario,rounds,final_accuracy,acc_vs_clean,total_bytes,\
                           bytes_vs_star,makespan_s,degraded_rounds,rehomes,direct_fallbacks,\
@@ -49,26 +48,7 @@ struct Row {
     topology: String,
     scenario: String,
     rounds: usize,
-    history: TrainingHistory,
-    hier: Option<HierReport>,
-}
-
-fn data(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-    let gen = SyntheticTabular::new(3, 8, SEED);
-    let train = gen.generate(240).expect("train data");
-    let test = SyntheticTabular::new(3, 8, SEED + 1)
-        .generate(60)
-        .expect("test data");
-    let shards = partition(&train, platforms, &Partition::Iid, SEED).expect("shards");
-    (shards, test)
-}
-
-fn arch() -> Architecture {
-    Architecture::Mlp(MlpConfig {
-        input_dim: 8,
-        hidden: vec![16],
-        num_classes: 3,
-    })
+    run: ChaosRun,
 }
 
 fn config(rounds: usize) -> SplitConfig {
@@ -84,30 +64,13 @@ fn config(rounds: usize) -> SplitConfig {
     cfg
 }
 
-fn run_star(plan: FaultPlan, rounds: usize) -> TrainingHistory {
-    let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(PLATFORMS)), plan);
-    let (shards, test) = data(PLATFORMS);
-    let mut trainer =
-        ResilientTrainer::new(&arch(), config(rounds), shards, test, &chaos).expect("star trainer");
-    trainer.run().expect("star training run")
-}
-
-fn run_hier(topo: &HierTopology, plan: FaultPlan, rounds: usize) -> (TrainingHistory, HierReport) {
-    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
-    let (shards, test) = data(topo.platforms());
-    let mut trainer = HierResilientTrainer::new(
-        &arch(),
-        config(rounds),
-        HierPolicy::default(),
-        topo.clone(),
-        shards,
-        test,
-        &chaos,
-    )
-    .expect("hier trainer");
-    let history = trainer.run().expect("hier training run");
-    let report = trainer.report().clone();
-    (history, report)
+fn train(topology: Topology, plan: FaultPlan, rounds: usize) -> ChaosRun {
+    let arch = Architecture::Mlp(MlpConfig {
+        input_dim: 8,
+        hidden: vec![16],
+        num_classes: 3,
+    });
+    chaos_train(&arch, config(rounds), topology, plan, 240, SEED).expect("chaos training run")
 }
 
 /// Relay 1 down for `[crash, recover)` — its region re-homes to relay 2.
@@ -125,18 +88,18 @@ fn partition_plan(topo: &HierTopology, down: u64, up: u64) -> FaultPlan {
 fn to_report(rows: &[Row], clean_acc: f32, star_bytes: u64) -> ReportWriter {
     let mut report = ReportWriter::csv(CSV_HEADER);
     for r in rows {
-        let hier = r.hier.clone().unwrap_or_default();
+        let (history, hier) = (&r.run.history, r.run.hier.clone().unwrap_or_default());
         report.line(&format!(
             "{},{},{},{:.4},{:+.4},{},{:.3},{:.3},{},{},{},{},{},{}",
             r.topology,
             r.scenario,
             r.rounds,
-            r.history.final_accuracy,
-            r.history.final_accuracy - clean_acc,
-            r.history.stats.total_bytes,
-            r.history.stats.total_bytes as f64 / star_bytes.max(1) as f64,
-            r.history.stats.makespan_s,
-            r.history.degraded_rounds(),
+            history.final_accuracy,
+            history.final_accuracy - clean_acc,
+            history.stats.total_bytes,
+            history.stats.total_bytes as f64 / star_bytes.max(1) as f64,
+            history.stats.makespan_s,
+            history.degraded_rounds(),
             hier.rehomes,
             hier.direct_fallbacks,
             hier.orphaned_platform_rounds,
@@ -150,11 +113,22 @@ fn to_report(rows: &[Row], clean_acc: f32, star_bytes: u64) -> ReportWriter {
 fn smoke_asserts(rounds: usize) {
     let (crash, recover) = (rounds as u64 / 4, rounds as u64 / 2);
     let topo = HierTopology::new(4, 2);
+    let run_hier = |plan: FaultPlan| {
+        let tree = Topology::Hier {
+            regions: 4,
+            per_region: 2,
+        };
+        let run = train(tree, plan, rounds);
+        (
+            run.history,
+            run.hier.expect("a relay-tree run reports its counters"),
+        )
+    };
 
     // Gate 1: a relay crash re-homes its region to a backup relay —
     // zero degraded rounds, zero orphans, and exactly the crash
     // window's worth of re-homed platform-rounds.
-    let (crashed, report) = run_hier(&topo, relay_crash_plan(crash, recover), rounds);
+    let (crashed, report) = run_hier(relay_crash_plan(crash, recover));
     assert_eq!(crashed.records.len(), rounds, "relay-crash run must complete");
     assert_eq!(
         crashed.degraded_rounds(),
@@ -170,7 +144,7 @@ fn smoke_asserts(rounds: usize) {
 
     // Gate 2: a partitioned region degrades exactly its window and the
     // rest of the fleet keeps training.
-    let (parted, parted_report) = run_hier(&topo, partition_plan(&topo, crash, recover), rounds);
+    let (parted, parted_report) = run_hier(partition_plan(&topo, crash, recover));
     assert_eq!(
         parted.degraded_rounds(),
         (recover - crash) as usize,
@@ -191,7 +165,7 @@ fn smoke_asserts(rounds: usize) {
 
     // Gate 3: faulty hierarchical accuracy stays within tolerance of
     // the fault-free hierarchical run.
-    let (clean, _) = run_hier(&topo, FaultPlan::new(SEED), rounds);
+    let (clean, _) = run_hier(FaultPlan::new(SEED));
     for (name, hist) in [("relay crash", &crashed), ("partition", &parted)] {
         assert!(
             hist.final_accuracy >= clean.final_accuracy - 0.10,
@@ -203,8 +177,8 @@ fn smoke_asserts(rounds: usize) {
 
     // Gate 4: the combined fault replays bit-identically from its seed.
     let plan = relay_crash_plan(crash, recover).partition_region(&topo, 1, crash + 1, recover + 1);
-    let (h1, r1) = run_hier(&topo, plan.clone(), rounds);
-    let (h2, r2) = run_hier(&topo, plan, rounds);
+    let (h1, r1) = run_hier(plan.clone());
+    let (h2, r2) = run_hier(plan);
     assert_eq!(r1, r2, "failover counters must replay identically");
     assert_eq!(h1.stats, h2.stats, "wire accounting must replay identically");
     assert_eq!(
@@ -226,28 +200,28 @@ pub fn run(args: &[String]) -> HierBenchOutcome {
     let mut rows = Vec::new();
 
     // Flat-star baseline: the byte and accuracy yardstick.
-    let star_clean = run_star(FaultPlan::new(SEED), rounds);
-    let star_bytes = star_clean.stats.total_bytes;
-    let clean_acc = star_clean.final_accuracy;
+    let star = Topology::Star(PLATFORMS);
+    let star_clean = train(star, FaultPlan::new(SEED), rounds);
+    let star_bytes = star_clean.history.stats.total_bytes;
+    let clean_acc = star_clean.history.final_accuracy;
     rows.push(Row {
-        topology: "star8".into(),
+        topology: star.name(),
         scenario: "clean".into(),
         rounds,
-        history: star_clean,
-        hier: None,
+        run: star_clean,
     });
-    let star_crash = run_star(
+    let star_crash = train(
+        star,
         FaultPlan::new(SEED)
             .crash(medsplit_simnet::NodeId::Platform(1), crash)
             .recover(medsplit_simnet::NodeId::Platform(1), recover),
         rounds,
     );
     rows.push(Row {
-        topology: "star8".into(),
+        topology: star.name(),
         scenario: format!("crash_{crash}_{recover}"),
         rounds,
-        history: star_crash,
-        hier: None,
+        run: star_crash,
     });
 
     // Hierarchies over the same 8 platforms.
@@ -255,45 +229,34 @@ pub fn run(args: &[String]) -> HierBenchOutcome {
     let mut hier_clean_accuracy = 0.0f32;
     for &(regions, per_region) in shapes {
         let topo = HierTopology::new(regions, per_region);
-        let name = format!("hier{regions}_{per_region}");
-
-        let (history, report) = run_hier(&topo, FaultPlan::new(SEED), rounds);
-        hier_clean_accuracy = history.final_accuracy;
-        rows.push(Row {
-            topology: name.clone(),
-            scenario: "clean".into(),
-            rounds,
-            history,
-            hier: Some(report),
-        });
-
-        let (history, report) = run_hier(&topo, relay_crash_plan(crash, recover), rounds);
-        rows.push(Row {
-            topology: name.clone(),
-            scenario: format!("relaycrash_{crash}_{recover}"),
-            rounds,
-            history,
-            hier: Some(report),
-        });
-
-        let (history, report) = run_hier(&topo, partition_plan(&topo, crash, recover), rounds);
-        rows.push(Row {
-            topology: name.clone(),
-            scenario: format!("partition_1_{crash}_{recover}"),
-            rounds,
-            history,
-            hier: Some(report),
-        });
-
-        let plan = relay_crash_plan(crash, recover).partition_region(&topo, 1, crash + 1, recover + 1);
-        let (history, report) = run_hier(&topo, plan, rounds);
-        rows.push(Row {
-            topology: name,
-            scenario: "relaycrash+partition".into(),
-            rounds,
-            history,
-            hier: Some(report),
-        });
+        let tree = Topology::Hier { regions, per_region };
+        let scenarios = [
+            ("clean".to_string(), FaultPlan::new(SEED)),
+            (
+                format!("relaycrash_{crash}_{recover}"),
+                relay_crash_plan(crash, recover),
+            ),
+            (
+                format!("partition_1_{crash}_{recover}"),
+                partition_plan(&topo, crash, recover),
+            ),
+            (
+                "relaycrash+partition".to_string(),
+                relay_crash_plan(crash, recover).partition_region(&topo, 1, crash + 1, recover + 1),
+            ),
+        ];
+        for (scenario, plan) in scenarios {
+            let run = train(tree, plan, rounds);
+            if scenario == "clean" {
+                hier_clean_accuracy = run.history.final_accuracy;
+            }
+            rows.push(Row {
+                topology: tree.name(),
+                scenario,
+                rounds,
+                run,
+            });
+        }
     }
 
     let report = to_report(&rows, clean_acc, star_bytes);
@@ -307,15 +270,15 @@ pub fn run(args: &[String]) -> HierBenchOutcome {
         ],
     );
     for r in &rows {
-        let hier = r.hier.clone().unwrap_or_default();
+        let (history, hier) = (&r.run.history, r.run.hier.clone().unwrap_or_default());
         table.row(vec![
             r.topology.clone(),
             r.scenario.clone(),
-            format!("{:.3}", r.history.final_accuracy),
-            format!("{:+.3}", r.history.final_accuracy - clean_acc),
-            format!("{:.2}", r.history.stats.total_bytes as f64 / 1e6),
-            format!("{:.1}", r.history.stats.makespan_s),
-            r.history.degraded_rounds().to_string(),
+            format!("{:.3}", history.final_accuracy),
+            format!("{:+.3}", history.final_accuracy - clean_acc),
+            format!("{:.2}", history.stats.total_bytes as f64 / 1e6),
+            format!("{:.1}", history.stats.makespan_s),
+            history.degraded_rounds().to_string(),
             hier.rehomes.to_string(),
             hier.orphaned_platform_rounds.to_string(),
         ]);

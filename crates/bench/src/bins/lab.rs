@@ -23,8 +23,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use medsplit_bench::labrun::MedsplitRunner;
-use medsplit_bench::report::{arg_present, arg_value};
+use crate::labrun::MedsplitRunner;
+use crate::report::{arg_present, arg_value};
 use medsplit_lab::{
     check_invariants, compare, load_baseline, load_run_metrics, run_dir, run_id, save_baseline, DiffReport,
     Manifest,
@@ -283,18 +283,19 @@ fn cmd_ci(args: &[String]) -> Result<bool, String> {
     Ok(ok)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Runs one `lab` command (`args` starts with the command name) and
+/// maps its result onto the exit codes above.
+pub fn run(args: &[String]) -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
     let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "list" => cmd_list(&args),
-        "diff" => cmd_diff(&args),
-        "gate" => cmd_gate(&args),
-        "bless" => cmd_bless(&args),
-        "ci" => cmd_ci(&args),
+        "run" => cmd_run(args),
+        "list" => cmd_list(args),
+        "diff" => cmd_diff(args),
+        "gate" => cmd_gate(args),
+        "bless" => cmd_bless(args),
+        "ci" => cmd_ci(args),
         _ => return usage(),
     };
     match result {

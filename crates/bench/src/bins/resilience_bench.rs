@@ -19,10 +19,11 @@
 //! and a replay of the faulty run is bit-identical.
 
 use crate::report::{arg_present, arg_value, ReportWriter, TextTable};
-use medsplit_core::{ResilienceReport, ResilientTrainer, SplitConfig, TrainingHistory};
-use medsplit_data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
+use crate::workload::{chaos_train, Topology};
+use medsplit_core::{ResilienceReport, SplitConfig, TrainingHistory};
+use medsplit_data::MinibatchPolicy;
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit_simnet::{ChaosTransport, FaultPlan, MemoryTransport, NodeId, StarTopology};
+use medsplit_simnet::{FaultPlan, NodeId};
 
 const CSV_HEADER: &str = "scenario,drop_p,quorum,rounds,final_accuracy,acc_vs_clean,total_bytes,\
                           bytes_vs_clean,retries,checksum_rejections,skipped_platforms,\
@@ -50,24 +51,6 @@ struct Row {
     report: ResilienceReport,
 }
 
-fn data(seed: u64) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-    let gen = SyntheticTabular::new(3, 8, seed);
-    let train = gen.generate(240).expect("train data");
-    let test = SyntheticTabular::new(3, 8, seed + 1)
-        .generate(60)
-        .expect("test data");
-    let shards = partition(&train, PLATFORMS, &Partition::Iid, seed).expect("shards");
-    (shards, test)
-}
-
-fn arch() -> Architecture {
-    Architecture::Mlp(MlpConfig {
-        input_dim: 8,
-        hidden: vec![16],
-        num_classes: 3,
-    })
-}
-
 fn config(rounds: usize, quorum: usize) -> SplitConfig {
     let mut cfg = SplitConfig {
         rounds,
@@ -81,12 +64,21 @@ fn config(rounds: usize, quorum: usize) -> SplitConfig {
 }
 
 fn run_scenario(plan: FaultPlan, rounds: usize, quorum: usize) -> (TrainingHistory, ResilienceReport) {
-    let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(PLATFORMS)), plan);
-    let (shards, test) = data(11);
-    let mut trainer =
-        ResilientTrainer::new(&arch(), config(rounds, quorum), shards, test, &chaos).expect("trainer");
-    let history = trainer.run().expect("resilient training run");
-    (history, trainer.report())
+    let arch = Architecture::Mlp(MlpConfig {
+        input_dim: 8,
+        hidden: vec![16],
+        num_classes: 3,
+    });
+    let run = chaos_train(
+        &arch,
+        config(rounds, quorum),
+        Topology::Star(PLATFORMS),
+        plan,
+        240,
+        11,
+    )
+    .expect("resilient training run");
+    (run.history, run.report)
 }
 
 /// The crash–rejoin scenario the CI gate asserts on: platform 1 is down

@@ -1,7 +1,7 @@
 //! The experiment implementations behind every table and figure.
 //!
 //! Each experiment is a library function parameterised by a scale knob, so
-//! the binaries run the full configuration while the test suite exercises
+//! the subcommands run the full configuration while the test suite exercises
 //! the identical code path at a tiny scale.
 
 use medsplit_baselines::{
@@ -38,7 +38,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The full configuration used by the report binaries.
+    /// The full configuration used by the report subcommands.
     pub fn full() -> Self {
         Scale {
             train_n: 1600,
@@ -848,7 +848,7 @@ pub fn fig8_table(model: ModelKind, points: &[BandwidthPoint]) -> TextTable {
 }
 
 /// The valid interior cut points of the lite VGG, used by the Fig. 5
-/// binary and tests (layer indices into the built `Sequential`).
+/// subcommand and tests (layer indices into the built `Sequential`).
 pub fn vgg_lite_cuts() -> Vec<usize> {
     // conv,bn,relu,pool | conv,bn,relu,pool | conv,bn,relu,pool | flatten,…
     // Cut after each ReLU and after each pooling stage.

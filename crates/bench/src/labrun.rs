@@ -6,7 +6,7 @@
 //!
 //! | `bench` | workload |
 //! |---------|----------|
-//! | `split_train` | a [`ResilientTrainer`] run shaped by the point's model / topology / fault / codec / threads / seed axes |
+//! | `split_train` | a [`chaos_train`](crate::workload::chaos_train) run shaped by the point's model / topology / fault / codec / threads / seed axes |
 //! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
 //! | `codec_frontier` | [`crate::bins::codec_bench`] `--smoke` (per-codec accuracy and wire/logical bytes, replay digest) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
@@ -28,13 +28,15 @@
 use std::path::Path;
 use std::time::Instant;
 
-use medsplit_core::{HierPolicy, HierResilientTrainer, ResilientTrainer, SplitConfig, WireCodec};
-use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+use medsplit_core::{SplitConfig, WireCodec};
+use medsplit_data::MinibatchPolicy;
 use medsplit_lab::{BenchRunner, Manifest, MetricValue, PointOutcome, RunPoint};
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, NodeId, StarTopology};
+use medsplit_simnet::{FaultPlan, HierTopology, NodeId};
 use medsplit_telemetry::{MetricSnapshot, Trace};
 use medsplit_tensor::{pool, simd};
+
+use crate::workload::{chaos_train, ChaosRun, Topology};
 
 /// Executes lab matrix points against the medsplit workloads.
 #[derive(Debug, Default)]
@@ -97,27 +99,9 @@ fn parse_model(name: &str) -> Result<Architecture, String> {
     }
 }
 
-/// The shape named by a `topology` axis value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TopologyAxis {
-    /// `starN`: N platforms directly on the server.
-    Star(usize),
-    /// `hierR_P`: R regions of P platforms each, one relay per region.
-    Hier { regions: usize, per_region: usize },
-}
-
-impl TopologyAxis {
-    fn platforms(self) -> usize {
-        match self {
-            TopologyAxis::Star(n) => n,
-            TopologyAxis::Hier { regions, per_region } => regions * per_region,
-        }
-    }
-}
-
 /// `starN` → N platforms on a star; `hierR_P` → R regions × P platforms
 /// behind regional relays.
-fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
+fn parse_topology(topology: &str) -> Result<Topology, String> {
     if let Some(n) = topology.strip_prefix("star") {
         let n: usize = n
             .parse()
@@ -125,7 +109,7 @@ fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
         if n < 2 {
             return Err(format!("topology {topology:?} needs at least 2 platforms"));
         }
-        return Ok(TopologyAxis::Star(n));
+        return Ok(Topology::Star(n));
     }
     if let Some(shape) = topology.strip_prefix("hier") {
         let (regions, per_region) = shape
@@ -145,7 +129,7 @@ fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
         if regions * per_region < 2 {
             return Err(format!("topology {topology:?} needs at least 2 platforms"));
         }
-        return Ok(TopologyAxis::Hier { regions, per_region });
+        return Ok(Topology::Hier { regions, per_region });
     }
     Err(format!(
         "unknown topology axis value {topology:?} (expected starN or hierR_P)"
@@ -161,7 +145,7 @@ fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
 /// rounds `[C, R)`, hierarchical topologies only). Malformed or
 /// topology-incompatible tokens are hard errors. The plan is seeded
 /// from the point's seed so fault schedules replay with the run.
-fn parse_fault(fault: &str, seed: u64, topo: TopologyAxis) -> Result<FaultPlan, String> {
+fn parse_fault(fault: &str, seed: u64, topo: Topology) -> Result<FaultPlan, String> {
     let plan = FaultPlan::new(seed);
     if fault == "clean" {
         return Ok(plan);
@@ -176,7 +160,7 @@ fn parse_fault(fault: &str, seed: u64, topo: TopologyAxis) -> Result<FaultPlan, 
         return Ok(plan.with_drop(pct / 100.0));
     }
     if let Some(window) = fault.strip_prefix("relaycrash_") {
-        let TopologyAxis::Hier { regions, .. } = topo else {
+        let Topology::Hier { regions, .. } = topo else {
             return Err(format!(
                 "fault {fault:?} requires a hierarchical (hierR_P) topology"
             ));
@@ -190,7 +174,7 @@ fn parse_fault(fault: &str, seed: u64, topo: TopologyAxis) -> Result<FaultPlan, 
         return Ok(plan.crash_relay(1, crash).recover_relay(1, recover));
     }
     if let Some(spec) = fault.strip_prefix("partition_") {
-        let TopologyAxis::Hier { regions, per_region } = topo else {
+        let Topology::Hier { regions, per_region } = topo else {
             return Err(format!(
                 "fault {fault:?} requires a hierarchical (hierR_P) topology"
             ));
@@ -255,21 +239,9 @@ fn parse_codec(codec: &str) -> Result<WireCodec, String> {
 /// manifest's `[run]` options.
 fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, String> {
     let topo = parse_topology(&point.topology)?;
-    let platforms = topo.platforms();
     let arch = parse_model(&point.model)?;
     let plan = parse_fault(&point.fault, point.seed, topo)?;
-    let samples = manifest.run.samples;
     let rounds = manifest.run.rounds;
-
-    let train = SyntheticTabular::new(3, 8, point.seed)
-        .generate(samples)
-        .map_err(|e| format!("train data: {e}"))?;
-    let test = SyntheticTabular::new(3, 8, point.seed + 1)
-        .generate((samples / 4).max(8))
-        .map_err(|e| format!("test data: {e}"))?;
-    let shards =
-        partition(&train, platforms, &Partition::Iid, point.seed).map_err(|e| format!("shards: {e}"))?;
-
     let mut config = SplitConfig {
         rounds,
         eval_every: rounds,
@@ -281,35 +253,11 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
     };
     // Tolerate the injected faults: any quorum completes the round.
     config.round_policy.min_platforms = 1;
-
-    // (retries, checksum_rejections, quorum_failures) plus the
-    // hierarchy-only counters, zero on the star path.
-    let (history, resilience, hier_extra) = match topo {
-        TopologyAxis::Star(n) => {
-            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(n)), plan);
-            let mut trainer = ResilientTrainer::new(&arch, config, shards, test, &chaos)
-                .map_err(|e| format!("trainer: {e}"))?;
-            let history = trainer.run().map_err(|e| format!("training: {e}"))?;
-            (history, trainer.report(), None)
-        }
-        TopologyAxis::Hier { regions, per_region } => {
-            let hier_topo = HierTopology::new(regions, per_region);
-            let chaos = ChaosTransport::new(MemoryTransport::new(hier_topo.clone()), plan);
-            let mut trainer = HierResilientTrainer::new(
-                &arch,
-                config,
-                HierPolicy::default(),
-                hier_topo,
-                shards,
-                test,
-                &chaos,
-            )
-            .map_err(|e| format!("trainer: {e}"))?;
-            let history = trainer.run().map_err(|e| format!("training: {e}"))?;
-            let report = trainer.report().clone();
-            (history, report.base, Some(report))
-        }
-    };
+    let ChaosRun {
+        history,
+        report: resilience,
+        hier: hier_extra,
+    } = chaos_train(&arch, config, topo, plan, manifest.run.samples, point.seed)?;
 
     let mut metrics: Vec<(String, MetricValue)> = vec![
         // f32 → f64 is exact, so accuracy still compares bit-for-bit.
@@ -521,8 +469,8 @@ impl BenchRunner for MedsplitRunner {
 mod tests {
     use super::*;
 
-    const STAR4: TopologyAxis = TopologyAxis::Star(4);
-    const HIER2_2: TopologyAxis = TopologyAxis::Hier {
+    const STAR4: Topology = Topology::Star(4);
+    const HIER2_2: Topology = Topology::Hier {
         regions: 2,
         per_region: 2,
     };
@@ -548,7 +496,7 @@ mod tests {
         assert!(parse_fault("relaycrash_2_5", 1, STAR4).is_err());
         assert!(parse_fault("partition_0_2_5", 1, STAR4).is_err());
         // A single-region hierarchy has no backup relay to crash into.
-        let hier1_4 = TopologyAxis::Hier {
+        let hier1_4 = Topology::Hier {
             regions: 1,
             per_region: 4,
         };

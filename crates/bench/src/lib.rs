@@ -3,23 +3,27 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! evaluation (see DESIGN.md §3 for the experiment index):
 //!
-//! | target | regenerates |
-//! |--------|-------------|
-//! | `cargo run -p medsplit-bench --bin fig4 --release` | Fig. 4 panels (accuracy vs transmitted bytes) |
-//! | `cargo run -p medsplit-bench --bin table1` | analytic full-size per-round costs |
-//! | `cargo run -p medsplit-bench --bin table2 --release` | imbalance-mitigation ablation |
-//! | `cargo run -p medsplit-bench --bin fig5 --release` | split-point sweep (bytes vs leakage) |
-//! | `cargo run -p medsplit-bench --bin fig6 --release` | scalability with platform count |
-//! | `cargo run -p medsplit-bench --bin table3 --release` | baseline landscape under non-IID |
+//! | command | regenerates |
+//! |---------|-------------|
+//! | `cargo run -p medsplit-bench --release -- fig4` | Fig. 4 panels (accuracy vs transmitted bytes) |
+//! | `cargo run -p medsplit-bench --release -- table1` | analytic full-size per-round costs |
+//! | `cargo run -p medsplit-bench --release -- table2` | imbalance-mitigation ablation |
+//! | `cargo run -p medsplit-bench --release -- fig5` | split-point sweep (bytes vs leakage) |
+//! | `cargo run -p medsplit-bench --release -- fig6` | scalability with platform count |
+//! | `cargo run -p medsplit-bench --release -- table3` | baseline landscape under non-IID |
 //!
-//! Every binary accepts `--quick` for a smoke-test scale and writes CSVs
-//! under `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`).
-//! Criterion micro-benchmarks live under `benches/`.
+//! The one `medsplit-bench` binary dispatches every experiment from the
+//! table in [`bins`]; run it without arguments for the list. An unknown
+//! experiment or flag exits with code 2 and a usage message. Training
+//! experiments accept `--quick` (or `--smoke`) for a reduced scale, whose
+//! outputs go to `bench_results/quick/`; full-scale CSVs land under
+//! `bench_results/` (either overridden by `MEDSPLIT_RESULTS_DIR`). With
+//! `MEDSPLIT_TRACE=1` every experiment leaves a JSONL trace
+//! (`MEDSPLIT_TRACE_FILE`, default `trace.jsonl`).
 //!
-//! Each binary is a thin shim over [`bins`], so the `lab` orchestrator
-//! (see `crates/lab` and the `lab` binary here) can run any experiment
-//! in-process and capture structured outcomes; [`labrun`] is the bridge
-//! that maps lab manifest points onto these experiment entry points.
+//! The `lab` subcommand (see `crates/lab`) runs experiments in-process
+//! and captures structured outcomes; [`labrun`] is the bridge that maps
+//! lab manifest points onto these experiment entry points.
 
 #![warn(missing_docs)]
 

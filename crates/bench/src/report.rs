@@ -1,11 +1,11 @@
 //! Plain-text tables, schema-asserted CSV, and the shared `BENCH_*.json`
-//! envelope for the experiment binaries.
+//! envelope for the experiments.
 
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +91,7 @@ impl fmt::Display for TextTable {
 /// A CSV emitter with a declared schema: the header is fixed at
 /// construction and every row is asserted to match its arity, so schema
 /// drift dies in the bin that caused it rather than in a downstream
-/// parser. All bench binaries route their CSV output through this (or
+/// parser. All experiments route their CSV output through this (or
 /// through [`TextTable`], which asserts the same invariant per row).
 #[derive(Debug, Clone)]
 pub struct ReportWriter {
@@ -109,17 +109,6 @@ impl ReportWriter {
             columns,
             lines: Vec::new(),
         }
-    }
-
-    /// Builds a report from a [`TextTable`]'s header and rows.
-    pub fn from_table(table: &TextTable) -> Self {
-        let csv = table.to_csv();
-        let mut lines = csv.lines();
-        let mut out = ReportWriter::csv(lines.next().unwrap_or_default());
-        for line in lines {
-            out.line(line);
-        }
-        out
     }
 
     /// Appends one row of cells.
@@ -215,11 +204,11 @@ pub fn bench_json(bench: &str, body: &[(&str, String)]) -> String {
     json
 }
 
-/// Where a `BENCH_*.json` lands: smoke runs keep it next to the CSVs in
-/// the results dir so they never clobber the committed full-sweep file
-/// at the repo root.
-pub fn bench_json_path(filename: &str, smoke: bool) -> PathBuf {
-    if smoke {
+/// Where a `BENCH_*.json` lands: reduced-scale runs keep it next to the
+/// CSVs in the results dir so they never clobber the committed
+/// full-sweep file at the repo root.
+pub fn bench_json_path(filename: &str, reduced: bool) -> PathBuf {
+    if reduced {
         results_dir().join(filename)
     } else {
         PathBuf::from(filename)
@@ -270,15 +259,6 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Whether a bare `--flag` is present.
 pub fn arg_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
-}
-
-/// Ensures a parent results path exists relative to a file path (test
-/// helper re-exported for the bins).
-pub fn ensure_dir(path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -339,14 +319,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn report_writer_rejects_short_row() {
         ReportWriter::csv("a,b,c").line("1,2");
-    }
-
-    #[test]
-    fn report_writer_from_table() {
-        let mut t = TextTable::new("x", &["k", "v"]);
-        t.row(vec!["a".into(), "1".into()]);
-        let w = ReportWriter::from_table(&t);
-        assert_eq!(w.to_csv(), "k,v\na,1\n");
     }
 
     #[test]

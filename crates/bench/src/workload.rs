@@ -1,9 +1,13 @@
 //! Standard workloads for the experiments: dataset + architecture +
 //! partitioning bundles, scaled by an experiment size knob.
 
-use medsplit_core::{Result, SplitError};
+use medsplit_core::{
+    HierPolicy, HierReport, HierResilientTrainer, ResilienceReport, ResilientTrainer, Result, SplitConfig,
+    SplitError, TrainingHistory,
+};
 use medsplit_data::{partition, InMemoryDataset, Partition, SyntheticImages, SyntheticTabular};
 use medsplit_nn::{Architecture, MlpConfig, ResNetConfig, VggConfig};
+use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
 
 /// Which CIFAR stand-in a vision workload uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +165,105 @@ pub fn tabular_workload(
         num_classes: classes,
     });
     Ok((arch, shards, test))
+}
+
+/// Where the platforms of a [`chaos_train`] run sit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// N platforms directly on the server.
+    Star(usize),
+    /// `regions` regions of `per_region` platforms, one relay per region.
+    Hier {
+        /// Regions (relays).
+        regions: usize,
+        /// Platforms per region.
+        per_region: usize,
+    },
+}
+
+impl Topology {
+    /// Total platforms.
+    pub fn platforms(self) -> usize {
+        match self {
+            Topology::Star(n) => n,
+            Topology::Hier { regions, per_region } => regions * per_region,
+        }
+    }
+
+    /// `starN` / `hierR_P`, the spelling of the lab `topology` axis.
+    pub fn name(self) -> String {
+        match self {
+            Topology::Star(n) => format!("star{n}"),
+            Topology::Hier { regions, per_region } => format!("hier{regions}_{per_region}"),
+        }
+    }
+}
+
+/// What a [`chaos_train`] run produced.
+#[derive(Debug, Clone)]
+pub struct ChaosRun {
+    /// Per-round history and wire accounting.
+    pub history: TrainingHistory,
+    /// Retry / checksum / quorum counters (the base report on a hierarchy).
+    pub report: ResilienceReport,
+    /// The relay-tree counters, `None` on a star.
+    pub hier: Option<HierReport>,
+}
+
+/// One resilient split-training run of a tabular MLP over the chaos
+/// transport: `samples` IID training rows sharded over the topology's
+/// platforms, a `(samples / 4).max(8)`-row test set, and `plan`'s faults.
+/// The data comes from `data_seed` alone; the training seed is
+/// `config.seed`.
+///
+/// # Errors
+///
+/// Data generation, trainer construction or training failures, as text.
+pub fn chaos_train(
+    arch: &Architecture,
+    config: SplitConfig,
+    topology: Topology,
+    plan: FaultPlan,
+    samples: usize,
+    data_seed: u64,
+) -> std::result::Result<ChaosRun, String> {
+    let (classes, dim) = (arch.num_classes(), arch.input_dims().iter().product());
+    let train = SyntheticTabular::new(classes, dim, data_seed)
+        .generate(samples)
+        .map_err(|e| format!("train data: {e}"))?;
+    let test = SyntheticTabular::new(classes, dim, data_seed + 1)
+        .generate((samples / 4).max(8))
+        .map_err(|e| format!("test data: {e}"))?;
+    let shards = partition(&train, topology.platforms(), &Partition::Iid, data_seed)
+        .map_err(|e| format!("shards: {e}"))?;
+
+    match topology {
+        Topology::Star(n) => {
+            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(n)), plan);
+            let mut trainer = ResilientTrainer::new(arch, config, shards, test, &chaos)
+                .map_err(|e| format!("trainer: {e}"))?;
+            let history = trainer.run().map_err(|e| format!("training: {e}"))?;
+            Ok(ChaosRun {
+                history,
+                report: trainer.report(),
+                hier: None,
+            })
+        }
+        Topology::Hier { regions, per_region } => {
+            let hier = HierTopology::new(regions, per_region);
+            let chaos = ChaosTransport::new(MemoryTransport::new(hier.clone()), plan);
+            let mut trainer =
+                HierResilientTrainer::new(arch, config, HierPolicy::default(), hier, shards, test, &chaos)
+                    .map_err(|e| format!("trainer: {e}"))?;
+            let history = trainer.run().map_err(|e| format!("training: {e}"))?;
+            let hier = trainer.report().clone();
+            Ok(ChaosRun {
+                history,
+                report: hier.base,
+                hier: Some(hier),
+            })
+        }
+    }
 }
 
 #[cfg(test)]
